@@ -21,7 +21,6 @@ from .errors import (
 from .estimators import (
     AffineEstimator,
     CovarianceResult,
-    PrecisionMatrices,
     analytic_cblue_covariance,
     blue,
     cblue,
@@ -32,7 +31,6 @@ from .estimators import (
     kkt_oracle,
     ls,
     mean_subtracted,
-    precision_matrices,
     project_onto_constraints,
 )
 from .model import (
@@ -79,7 +77,6 @@ __all__ = [
     "MseReport",
     "NotPositiveDefinite",
     "NullspaceParam",
-    "PrecisionMatrices",
     "RankDeficient",
     "RankDeficientConstraints",
     "RankDeficientReducedModel",
@@ -101,7 +98,6 @@ __all__ = [
     "nullspace_basis",
     "numerical_rank",
     "parameterize",
-    "precision_matrices",
     "project_onto_constraints",
     "run_experiment",
     "run_reference_trial",

@@ -91,7 +91,11 @@ def _cmd_experiment(args) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(spec)
+    try:
+        report = run_experiment(spec)
+    except EstimationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         fileio.write_mse_csv(args.output, report)
         if args.plot:
@@ -119,9 +123,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(
-        instances=args.trials, seed=args.seed, defective=args.inject_sign_defect
-    )
+    results = run_suite(instances=args.trials, seed=args.seed)
     name_width = max(len(result.name) for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -174,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=50, help="instances per property (default: 50)"
     )
     verify.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    verify.add_argument(
-        "--inject-sign-defect",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
     verify.set_defaults(func=_cmd_verify)
     return parser
 

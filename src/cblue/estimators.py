@@ -12,7 +12,7 @@ direct form additionally needs H itself to have full column rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,14 +66,6 @@ class AffineEstimator:
 
 
 @dataclass(frozen=True, eq=False)
-class PrecisionMatrices:
-    """Gram matrix ``Q = H^H H`` and noise-weighted Gram ``P = H^H C^-1 H``."""
-
-    Q: np.ndarray
-    P: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CovarianceResult:
     """Estimator error covariance with its real diagonal split out."""
 
@@ -93,13 +85,6 @@ class CovarianceResult:
         diag.flags.writeable = False
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "per_element_variance", diag)
-
-
-def precision_matrices(model: LinearModel) -> PrecisionMatrices:
-    h = model.H
-    q = hermitized(h.conj().T @ h)
-    p = hermitized(h.conj().T @ hpd_solve(model.noise_factor, h))
-    return PrecisionMatrices(Q=as_matrix(q, "Q"), P=as_matrix(p, "P"))
 
 
 def _gram_factor(model: LinearModel, weighted: bool):
@@ -122,6 +107,24 @@ def _gram_factor(model: LinearModel, weighted: bool):
     except NotPositiveDefinite as exc:
         raise RankDeficient(
             "measurement matrix is numerically rank deficient (not full column rank)"
+        ) from exc
+    return factor, whitened
+
+
+def _reduced_gram_factor(model: LinearModel, basis: np.ndarray):
+    """Factor the reduced Gram ``(H N)^H C^-1 (H N)``, mapping PD failure to rank.
+
+    Returns the factor and the whitened reduced matrix ``C^-1 H N``.
+    """
+    reduced = model.H @ basis
+    whitened = hpd_solve(model.noise_factor, reduced)
+    gram = hermitized(reduced.conj().T @ whitened)
+    try:
+        factor = hpd_factor(gram)
+    except NotPositiveDefinite as exc:
+        raise RankDeficientReducedModel(
+            "measurement matrix restricted to the constraint nullspace is "
+            "numerically rank deficient"
         ) from exc
     return factor, whitened
 
@@ -205,16 +208,7 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
             f"nullspace basis has {param.basis.shape[0]} rows, model has "
             f"{h.shape[1]} parameters"
         )
-    reduced = h @ param.basis
-    whitened = hpd_solve(model.noise_factor, reduced)
-    gram = hermitized(reduced.conj().T @ whitened)
-    try:
-        factor = hpd_factor(gram)
-    except NotPositiveDefinite as exc:
-        raise RankDeficientReducedModel(
-            "measurement matrix restricted to the constraint nullspace is "
-            "numerically rank deficient"
-        ) from exc
+    factor, whitened = _reduced_gram_factor(model, param.basis)
     e = param.basis @ hpd_solve(factor, whitened.conj().T)
     xp = param.particular
     f = xp - e @ (h @ xp)
@@ -292,33 +286,16 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     are defined.
     """
     if isinstance(constraints_or_param, NullspaceParam):
-        param = constraints_or_param
-        reduced = model.H @ param.basis
-        whitened = hpd_solve(model.noise_factor, reduced)
-        gram = hermitized(reduced.conj().T @ whitened)
-        try:
-            factor = hpd_factor(gram)
-        except NotPositiveDefinite as exc:
-            raise RankDeficientReducedModel(
-                "measurement matrix restricted to the constraint nullspace is "
-                "numerically rank deficient"
-            ) from exc
-        cov = param.basis @ hpd_solve(factor, param.basis.conj().T)
+        basis = constraints_or_param.basis
+        factor, _ = _reduced_gram_factor(model, basis)
+        cov = basis @ hpd_solve(factor, basis.conj().T)
         return CovarianceResult(C=hermitized(cov))
     if isinstance(constraints_or_param, ConstraintSet):
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)
         factor, _ = _gram_factor(model, weighted=True)
         p_inv = hpd_solve(factor, np.eye(model.n_x))
-        g = hpd_solve(factor, constraints.A.conj().T)
-        s = hermitized(constraints.A @ g)
-        try:
-            s_factor = hpd_factor(s)
-        except NotPositiveDefinite as exc:
-            raise RankDeficient(
-                "constraint matrix loses rank under the model geometry"
-            ) from exc
-        cov = p_inv - g @ hpd_solve(s_factor, g.conj().T)
+        cov, _ = _constrain(p_inv, factor, constraints)
         return CovarianceResult(C=hermitized(cov))
     raise TypeError(
         "expected a ConstraintSet or NullspaceParam, got "
@@ -362,12 +339,3 @@ def kkt_oracle(model: LinearModel, constraints: ConstraintSet, y) -> np.ndarray:
             "augmented stationarity system is numerically singular"
         )
     return solution[:n_x]
-
-
-def with_flipped_offset(est: AffineEstimator) -> AffineEstimator:
-    """Copy of an estimator with the sign of its offset flipped.
-
-    Internal hook used by the verification suite to prove it can detect a
-    broken constrained estimator; of no use otherwise.
-    """
-    return replace(est, f=-est.f)

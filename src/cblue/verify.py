@@ -22,7 +22,6 @@ from .estimators import (
     covariance,
     kkt_oracle,
     project_onto_constraints,
-    with_flipped_offset,
 )
 from .errors import EstimationError
 from .model import ConstraintSet, LinearModel, parameterize
@@ -89,12 +88,7 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * phases.conj()[None, :]
 
 
-def _build_cblue_direct(model, constraints, defective: bool):
-    est = cblue_direct(model, constraints)
-    return with_flipped_offset(est) if defective else est
-
-
-def check_constraint_satisfaction(rng, instances: int, defective: bool = False) -> PropertyResult:
+def check_constraint_satisfaction(rng, instances: int) -> PropertyResult:
     """Constrained estimates satisfy ``A @ x_hat = b`` on random inputs."""
     worst = 0.0
     for index in range(instances):
@@ -103,7 +97,7 @@ def check_constraint_satisfaction(rng, instances: int, defective: bool = False) 
         ests = [cblue_nullspace(model, param)]
         if model.n_y >= model.n_x:
             ests.append(cls(model, constraints))
-            ests.append(_build_cblue_direct(model, constraints, defective))
+            ests.append(cblue_direct(model, constraints))
             ests.append(project_onto_constraints(blue(model), constraints))
         y = sample_proper_gaussian(model.n_y, rng, size=20).T
         a, b = constraints.A, constraints.b
@@ -119,7 +113,7 @@ def check_constraint_satisfaction(rng, instances: int, defective: bool = False) 
     return PropertyResult("constraint-satisfaction", worst, 1e-9, instances)
 
 
-def check_feasible_unbiasedness(rng, instances: int, defective: bool = False) -> PropertyResult:
+def check_feasible_unbiasedness(rng, instances: int) -> PropertyResult:
     """``E @ H @ N = N`` and ``f = (I - E H) x_p`` for both constrained forms."""
     worst = 0.0
     for index in range(instances):
@@ -127,7 +121,7 @@ def check_feasible_unbiasedness(rng, instances: int, defective: bool = False) ->
         param = parameterize(constraints)
         ests = [cblue_nullspace(model, param)]
         if model.n_y >= model.n_x:
-            ests.append(_build_cblue_direct(model, constraints, defective))
+            ests.append(cblue_direct(model, constraints))
         basis, xp = param.basis, param.particular
         hn = model.H @ basis
         for est in ests:
@@ -178,13 +172,13 @@ def check_projection_identity(rng, instances: int) -> PropertyResult:
     return PropertyResult("projection-identity", worst, 1e-9, instances)
 
 
-def check_form_equivalence(rng, instances: int, defective: bool = False) -> PropertyResult:
+def check_form_equivalence(rng, instances: int) -> PropertyResult:
     """Direct and nullspace constrained estimates agree on random inputs."""
     worst = 0.0
     for _ in range(instances):
         model, constraints = random_instance(rng)
         param = parameterize(constraints)
-        direct = _build_cblue_direct(model, constraints, defective)
+        direct = cblue_direct(model, constraints)
         reduced = cblue_nullspace(model, param)
         y = sample_proper_gaussian(model.n_y, rng, size=20).T
         worst = max(worst, _rel(direct.apply(y) - reduced.apply(y), reduced.apply(y)))
@@ -225,7 +219,7 @@ def check_basis_invariance(rng, instances: int) -> PropertyResult:
     return PropertyResult("basis-invariance", worst, 1e-9, instances)
 
 
-def check_white_noise_reduction(rng, instances: int, defective: bool = False) -> PropertyResult:
+def check_white_noise_reduction(rng, instances: int) -> PropertyResult:
     """With white noise the constrained estimators coincide: cblue equals cls."""
     worst = 0.0
     for _ in range(instances):
@@ -233,7 +227,7 @@ def check_white_noise_reduction(rng, instances: int, defective: bool = False) ->
         sigma2 = float(10.0 ** rng.integers(-1, 2))
         white = LinearModel(model.H, sigma2 * np.eye(model.n_y))
         reference = cls(white, constraints)
-        candidate = _build_cblue_direct(white, constraints, defective)
+        candidate = cblue_direct(white, constraints)
         worst = max(worst, _rel(candidate.E - reference.E, reference.E))
         worst = max(
             worst,
@@ -243,13 +237,13 @@ def check_white_noise_reduction(rng, instances: int, defective: bool = False) ->
     return PropertyResult("white-noise-reduction", worst, 1e-10, instances)
 
 
-def check_oracle_agreement(rng, instances: int, defective: bool = False) -> PropertyResult:
+def check_oracle_agreement(rng, instances: int) -> PropertyResult:
     """Both constrained forms match the augmented-system solver."""
     worst = 0.0
     for _ in range(instances):
         model, constraints = random_instance(rng)
         param = parameterize(constraints)
-        direct = _build_cblue_direct(model, constraints, defective)
+        direct = cblue_direct(model, constraints)
         reduced = cblue_nullspace(model, param)
         for _ in range(3):
             y = sample_proper_gaussian(model.n_y, rng)
@@ -279,31 +273,26 @@ def check_variance_optimality(rng, instances: int) -> PropertyResult:
     return PropertyResult("variance-optimality", worst, 1e-10, instances)
 
 
-_SUITE: tuple[tuple[Callable, bool], ...] = (
-    (check_constraint_satisfaction, True),
-    (check_feasible_unbiasedness, True),
-    (check_covariance_formula_agreement, False),
-    (check_projection_identity, False),
-    (check_form_equivalence, True),
-    (check_particular_invariance, False),
-    (check_basis_invariance, False),
-    (check_white_noise_reduction, True),
-    (check_oracle_agreement, True),
-    (check_variance_optimality, False),
+_SUITE: tuple[Callable, ...] = (
+    check_constraint_satisfaction,
+    check_feasible_unbiasedness,
+    check_covariance_formula_agreement,
+    check_projection_identity,
+    check_form_equivalence,
+    check_particular_invariance,
+    check_basis_invariance,
+    check_white_noise_reduction,
+    check_oracle_agreement,
+    check_variance_optimality,
 )
 
 
-def run_suite(
-    instances: int = 50, seed: int = 0, defective: bool = False
-) -> list[PropertyResult]:
+def run_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
     """Run every verification property on its own deterministic substream."""
     results = []
-    for index, (check, takes_defect) in enumerate(_SUITE):
+    for index, check in enumerate(_SUITE):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(index,))
         )
-        if takes_defect:
-            results.append(check(rng, instances, defective))
-        else:
-            results.append(check(rng, instances))
+        results.append(check(rng, instances))
     return results

@@ -229,12 +229,11 @@ def test_acceptance_7_empirical_matches_analytic(agreement_run):
     u = sample_proper_gaussian(spec.n_u, rng)
     h = convolution_matrix(u, spec.n_x)
     constraints = ConstraintSet(np.ones((1, spec.n_x)), np.zeros(1))
-    param = parameterize(constraints)
     base = np.diag(np.asarray(spec.base_noise_diag))
-    full = standard_estimator_set(LinearModel(h, base), constraints, param)
+    full = standard_estimator_set(LinearModel(h, base), constraints)
     worst_linearity = 0.0
     for k in (0.1, 0.37):
-        scaled = standard_estimator_set(LinearModel(h, k * base), constraints, param)
+        scaled = standard_estimator_set(LinearModel(h, k * base), constraints)
         for kind in ESTIMATOR_KINDS:
             mse_scaled = covariance(scaled[kind], k * base).per_element_variance.sum()
             mse_full = covariance(full[kind], base).per_element_variance.sum()

@@ -220,6 +220,27 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides", [{"trials": 2.5}, {"seed": 1.5}, {"trials": True}]
+)
+def test_experiment_rejects_non_integer_counts(tmp_path, capsys, overrides):
+    config = experiment_config(tmp_path, **overrides)
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_experiment_reports_estimation_failure(tmp_path, capsys):
+    # a plainly positive diagonal whose dynamic range trips the pivot gate
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"base_noise_diag": [1.0] * 9 + [1e-17], "trials": 2}))
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify", "--trials", "6"]) == 0
     out = capsys.readouterr().out
@@ -227,7 +248,7 @@ def test_verify_command_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_command_catches_injected_defect(capsys):
-    assert main(["verify", "--trials", "6", "--inject-sign-defect"]) == 1
+def test_verify_command_catches_injected_defect(sign_defect, capsys):
+    assert main(["verify", "--trials", "6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out

@@ -83,12 +83,17 @@ def test_full_suite_is_green():
     assert all(result.passed for result in results)
 
 
-def test_injected_defect_is_caught():
-    # the hidden sign defect must trip the offset-sensitive properties
-    results = run_suite(instances=25, seed=7, defective=True)
+def test_injected_defect_is_caught(sign_defect):
+    # a sign-flipped offset must trip every property that sees cblue_direct's offset
+    results = run_suite(instances=25, seed=7)
     failed = [result.name for result in results if not result.passed]
-    assert failed, "defective estimator slipped through every property"
-    assert "constraint-satisfaction" in failed
+    assert failed == [
+        "constraint-satisfaction",
+        "feasible-unbiasedness",
+        "form-equivalence",
+        "white-noise-reduction",
+        "oracle-agreement",
+    ]
 
 
 def test_variance_never_below_cblue_for_unbiased_feasible_competitors():

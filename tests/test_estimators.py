@@ -20,7 +20,6 @@ from cblue.estimators import (
     kkt_oracle,
     ls,
     mean_subtracted,
-    precision_matrices,
     project_onto_constraints,
 )
 from cblue.model import ConstraintSet, LinearModel, parameterize
@@ -203,6 +202,19 @@ def test_cblue_nullspace_rejects_collapsed_reduced_model():
         cblue_nullspace(model, param)
 
 
+def test_analytic_cblue_covariance_maps_rank_failures():
+    # collapsed reduced model: H annihilates every feasible direction
+    collapsed = LinearModel(np.ones((4, 1)) @ np.ones((1, 3)), np.eye(4))
+    zero_sum = ConstraintSet(np.ones((1, 3)), np.zeros(1))
+    with pytest.raises(RankDeficientReducedModel):
+        analytic_cblue_covariance(collapsed, parameterize(zero_sum))
+    # H has a zero column, so it is not full column rank
+    h = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(RankDeficient) as caught:
+        analytic_cblue_covariance(LinearModel(h, np.eye(3)), ONES_CONSTRAINT)
+    assert caught.type is RankDeficient
+
+
 def test_mean_subtracted_removes_common_offset():
     base = ls(LinearModel(np.eye(3), np.eye(3)))
     est = mean_subtracted(base)
@@ -316,17 +328,6 @@ def test_kkt_oracle_rejects_singular_system():
     model = LinearModel(np.zeros((3, 2)), np.eye(3))
     with pytest.raises(SingularKktSystem):
         kkt_oracle(model, ONES_CONSTRAINT, np.zeros(3))
-
-
-def test_precision_matrices():
-    rng = np.random.default_rng(56)
-    h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    root = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    c = root @ root.conj().T + np.eye(6)
-    model = LinearModel(h, c)
-    mats = precision_matrices(model)
-    assert_allclose(mats.Q, h.conj().T @ h, atol=1e-10)
-    assert_allclose(mats.P, h.conj().T @ np.linalg.solve(c, h), atol=1e-9)
 
 
 def test_affine_estimator_apply_shapes():

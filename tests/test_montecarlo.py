@@ -108,6 +108,9 @@ def test_spec_defaults():
         {"seed": -1},
         {"true_x_policy": "bogus"},
         {"n_x": 1},
+        {"trials": 2.5},
+        {"seed": 1.5},
+        {"trials": True},
     ],
 )
 def test_spec_rejects_bad_settings(overrides):
@@ -285,7 +288,6 @@ def test_degenerate_input_sequence_is_regenerated():
         replacement,
         n_x,
         constraints,
-        param,
         cov,
         cov_factor,
     )
@@ -315,7 +317,6 @@ def test_regeneration_cap():
             zeros_forever,
             n_x,
             constraints,
-            param,
             cov,
             cov_factor,
         )
@@ -327,11 +328,10 @@ def test_analytic_mse_scales_linearly_with_noise_level():
     u = sample_proper_gaussian(spec.n_u, rng)
     h = convolution_matrix(u, spec.n_x)
     constraints = ConstraintSet(np.ones((1, spec.n_x)), np.zeros(1))
-    param = parameterize(constraints)
     base = np.diag(np.asarray(spec.base_noise_diag))
     k = 0.37
-    small = standard_estimator_set(LinearModel(h, k * base), constraints, param)
-    full = standard_estimator_set(LinearModel(h, base), constraints, param)
+    small = standard_estimator_set(LinearModel(h, k * base), constraints)
+    full = standard_estimator_set(LinearModel(h, base), constraints)
     for kind in ESTIMATOR_KINDS:
         mse_small = covariance(small[kind], k * base).per_element_variance.sum()
         mse_full = covariance(full[kind], base).per_element_variance.sum()
@@ -352,10 +352,7 @@ def test_standard_estimator_set_labels():
     u = sample_proper_gaussian(6, rng)
     h = convolution_matrix(u, 5)
     constraints = ConstraintSet(np.ones((1, 5)), np.zeros(1))
-    param = parameterize(constraints)
-    estimators = standard_estimator_set(
-        LinearModel(h, np.eye(10)), constraints, param
-    )
+    estimators = standard_estimator_set(LinearModel(h, np.eye(10)), constraints)
     assert tuple(estimators) == ESTIMATOR_KINDS
     assert estimators["cblue"].label in ("cblue_direct", "cblue_nullspace")
     assert estimators["ls_meansub"].label == "ls_meansub"
