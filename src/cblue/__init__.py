@@ -48,7 +48,6 @@ from .montecarlo import (
     convolution_matrix,
     run_experiment,
     run_reference_trial,
-    sample_noise,
     sample_proper_gaussian,
 )
 from .numerics import (
@@ -101,7 +100,6 @@ __all__ = [
     "project_onto_constraints",
     "run_experiment",
     "run_reference_trial",
-    "sample_noise",
     "sample_proper_gaussian",
     "validate",
 ]

@@ -91,6 +91,9 @@ def _cmd_experiment(args) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.plot and len(spec.k_grid) < 2:
+        print("error: --plot needs at least two k_grid values", file=sys.stderr)
+        return 2
     try:
         report = run_experiment(spec)
     except EstimationError as exc:

@@ -8,20 +8,23 @@ BLUE, their mean-subtracted variants, constrained least squares, and the
 constrained BLUE.  The report carries the empirical average MSE next to the
 analytic value ``trace(E C E^H) / n_x`` averaged over the same draws.
 
-Every trial has its own counter-based random substream derived from
-``(seed, k index, trial index)``, so reports are reproducible bit for bit
-and independent of how trials are grouped or distributed.
+Every trial draws u, x and the noise, in that order, from its own
+counter-based substream derived from ``(seed, k index, trial index)``, so
+reports are reproducible bit for bit and independent of how trials are
+grouped.  ``run_experiment`` solves trials in batches; a batch it cannot
+solve is rerun trial by trial through ``run_reference_trial``, the public
+estimator API path that the batch engine is tested against.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import convolution_matrix as _scipy_convolution_matrix
 
-from .errors import RankDeficient
+from .errors import EstimationError, RankDeficient
 from .estimators import (
     AffineEstimator,
     blue,
@@ -32,7 +35,7 @@ from .estimators import (
     mean_subtracted,
 )
 from .model import ConstraintSet, LinearModel, NullspaceParam, parameterize
-from .numerics import HpdFactor, as_vector, hpd_factor
+from .numerics import as_vector, hpd_factor
 
 ESTIMATOR_KINDS = ("ls", "ls_meansub", "cls", "blue", "blue_meansub", "cblue")
 
@@ -57,14 +60,6 @@ def sample_proper_gaussian(dim: int, rng, size: int | None = None) -> np.ndarray
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def sample_noise(factor: HpdFactor, rng, size: int | None = None) -> np.ndarray:
-    """Draw zero-mean proper Gaussian noise with covariance ``L @ L^H``."""
-    z = sample_proper_gaussian(factor.dim, rng, size)
-    if size is None:
-        return factor.lower @ z
-    return z @ factor.lower.T
-
-
 def convolution_matrix(u, n_x: int) -> np.ndarray:
     """Full convolution matrix of ``u``: entry (i, j) is ``u[i - j]``.
 
@@ -74,7 +69,16 @@ def convolution_matrix(u, n_x: int) -> np.ndarray:
     seq = as_vector(u, "input sequence")
     if n_x < 1:
         raise ValueError(f"parameter count must be positive, got {n_x}")
-    return _scipy_convolution_matrix(seq, int(n_x), mode="full")
+    return _convolution_matrices(seq, int(n_x))
+
+
+def _convolution_matrices(u: np.ndarray, n_x: int) -> np.ndarray:
+    """Full convolution matrices of the sequences along the last axis of ``u``."""
+    n_u = u.shape[-1]
+    h = np.zeros(u.shape[:-1] + (n_u + n_x - 1, n_x), dtype=np.complex128)
+    for j in range(n_x):
+        h[..., j : j + n_u, j] = u
+    return h
 
 
 def _policy_unit_norm_gaussian(param: NullspaceParam, rng) -> np.ndarray:
@@ -140,6 +144,8 @@ class ExperimentSpec:
             raise ValueError("k_grid must not be empty")
         if not all(np.isfinite(k) and k > 0.0 for k in self.k_grid):
             raise ValueError("k_grid entries must be positive and finite")
+        if not math.isfinite(max(self.k_grid) * max(self.base_noise_diag)):
+            raise ValueError("noise variances k * base_noise_diag must be finite")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not 0 <= int(self.seed) < 2**64:
@@ -199,39 +205,26 @@ def _trial_rng(seed: int, k_index: int, trial_index: int):
     return np.random.default_rng(seq)
 
 
-def _single_trial_from_draws(u, x, z, rng, n_x, constraints, cov, cov_factor):
-    """Reference path: build the six estimators through the public API.
+def _draw_trial(spec: ExperimentSpec, param: NullspaceParam, policy, k_index, trial_index):
+    """Draw one trial from its own substream: input u, true x, white noise z.
 
-    Returns per-kind estimates and analytic average MSE for one trial, plus
-    the number of input regenerations forced by rank-deficient draws.
+    Returns the generator too, so rank-deficient draws of u can be
+    regenerated from the rest of the same substream.
     """
-    regenerations = 0
-    current_u = u
-    while True:
-        h = convolution_matrix(current_u, n_x)
-        try:
-            model = LinearModel(h, cov)
-            estimators = standard_estimator_set(model, constraints)
-            break
-        except RankDeficient:
-            regenerations += 1
-            if regenerations > _MAX_REGENERATIONS:
-                raise
-            current_u = sample_proper_gaussian(len(current_u), rng)
-    y = h @ x + cov_factor.lower @ z
-    estimates = {kind: est.apply(y) for kind, est in estimators.items()}
-    analytic = {
-        kind: covariance(est, cov).per_element_variance.sum() / n_x
-        for kind, est in estimators.items()
-    }
-    return estimates, analytic, regenerations, y
+    rng = _trial_rng(spec.seed, k_index, trial_index)
+    u = sample_proper_gaussian(spec.n_u, rng)
+    x = policy(param, rng)
+    z = sample_proper_gaussian(spec.n_y, rng)
+    return rng, u, x, z
 
 
 def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) -> dict:
     """Run a single trial through the plain estimator API.
 
-    Uses the same substream and draw order as :func:`run_experiment`, so its
-    output pins down what the vectorized sweep must produce for that trial.
+    Uses the same draws as :func:`run_experiment`, so its output pins down
+    what the vectorized sweep must produce for that trial; the sweep also
+    falls back to it for a batch it cannot solve.  A rank-deficient input
+    sequence is redrawn from the trial's substream and counted.
     """
     if not 0 <= k_index < len(spec.k_grid):
         raise IndexError(f"k_index {k_index} outside grid of {len(spec.k_grid)}")
@@ -242,20 +235,29 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     policy = TRUE_X_POLICIES[spec.true_x_policy]
     d = spec.k_grid[k_index] * np.asarray(spec.base_noise_diag)
     cov = np.diag(d)
-    cov_factor = hpd_factor(cov)
-    rng = _trial_rng(spec.seed, k_index, trial_index)
-    u = sample_proper_gaussian(spec.n_u, rng)
-    x = policy(param, rng)
-    z = sample_proper_gaussian(spec.n_y, rng)
-    estimates, analytic, regenerations, y = _single_trial_from_draws(
-        u, x, z, rng, spec.n_x, constraints, cov, cov_factor
-    )
+    rng, u, x, z = _draw_trial(spec, param, policy, k_index, trial_index)
+    regenerations = 0
+    current_u = u
+    while True:
+        h = convolution_matrix(current_u, spec.n_x)
+        try:
+            estimators = standard_estimator_set(LinearModel(h, cov), constraints)
+            break
+        except RankDeficient:
+            regenerations += 1
+            if regenerations > _MAX_REGENERATIONS:
+                raise
+            current_u = sample_proper_gaussian(spec.n_u, rng)
+    y = h @ x + np.sqrt(d) * z
     return {
         "u": u,
         "x_true": x,
         "y": y,
-        "estimates": estimates,
-        "analytic": analytic,
+        "estimates": {kind: est.apply(y) for kind, est in estimators.items()},
+        "analytic": {
+            kind: covariance(est, cov).per_element_variance.sum() / spec.n_x
+            for kind, est in estimators.items()
+        },
         "regenerations": regenerations,
     }
 
@@ -273,11 +275,8 @@ def _batch_sweep(u_b, x_b, noise_b, dinv, d, n_x):
     Xeon).  ``test_experiment_matches_reference_path`` holds the two paths
     together.
     """
-    n_trials, n_u = u_b.shape
-    n_y = n_u + n_x - 1
-    hb = np.zeros((n_trials, n_y, n_x), dtype=np.complex128)
-    for j in range(n_x):
-        hb[:, j : j + n_u, j] = u_b
+    n_trials = u_b.shape[0]
+    hb = _convolution_matrices(u_b, n_x)
     hh = hb.conj().transpose(0, 2, 1)
     q = hh @ hb
     w = dinv[None, :, None] * hb
@@ -343,10 +342,8 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     is regenerated and counted.  Identical specs produce identical reports.
     """
     n_x = spec.n_x
-    n_y = spec.n_y
     base_diag = np.asarray(spec.base_noise_diag)
-    constraints = ConstraintSet(np.ones((1, n_x)), np.zeros(1))
-    param = parameterize(constraints)
+    param = parameterize(ConstraintSet(np.ones((1, n_x)), np.zeros(1)))
     policy = TRUE_X_POLICIES[spec.true_x_policy]
     nk = len(spec.k_grid)
     acc = _Accumulators(nk, n_x)
@@ -354,18 +351,14 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     for k_index, k in enumerate(spec.k_grid):
         d = k * base_diag
         sqrt_d = np.sqrt(d)
-        cov = np.diag(d)
-        cov_factor = hpd_factor(cov)
+        # Refuses the noise levels the reference path's LinearModel refuses.
+        hpd_factor(np.diag(d))
         for start in range(0, spec.trials, _BATCH):
             stop = min(start + _BATCH, spec.trials)
-            rngs = [_trial_rng(spec.seed, k_index, t) for t in range(start, stop)]
-            u_rows = []
-            x_rows = []
-            z_rows = []
-            for rng in rngs:
-                u_rows.append(sample_proper_gaussian(spec.n_u, rng))
-                x_rows.append(policy(param, rng))
-                z_rows.append(sample_proper_gaussian(n_y, rng))
+            draws = [
+                _draw_trial(spec, param, policy, k_index, t) for t in range(start, stop)
+            ]
+            _, u_rows, x_rows, z_rows = zip(*draws)
             u_batch = np.array(u_rows)
             x_batch = np.array(x_rows)
             noise_batch = np.array(z_rows) * sqrt_d
@@ -376,17 +369,20 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
             except np.linalg.LinAlgError:
                 # A rank-deficient draw poisons the whole stacked solve; redo
                 # this batch trial by trial with regeneration.
-                for u, x, z, rng in zip(u_rows, x_rows, z_rows, rngs):
-                    estimates, analytic_one, regen, _ = _single_trial_from_draws(
-                        u, x, z, rng, n_x, constraints, cov, cov_factor
-                    )
-                    regenerations += regen
-                    single_errors = {
-                        kind: estimates[kind] - x for kind in ESTIMATOR_KINDS
+                for t in range(start, stop):
+                    trial = run_reference_trial(spec, k_index, t)
+                    regenerations += trial["regenerations"]
+                    trial_errors = {
+                        kind: trial["estimates"][kind] - trial["x_true"]
+                        for kind in ESTIMATOR_KINDS
                     }
-                    acc.add_batch(k_index, single_errors, analytic_one)
+                    acc.add_batch(k_index, trial_errors, trial["analytic"])
                 continue
             acc.add_batch(k_index, errors, analytic)
+        cells = [acc.emp_sum[kind][k_index] for kind in ESTIMATOR_KINDS]
+        cells += [acc.ana_sum[kind][k_index] for kind in ESTIMATOR_KINDS]
+        if not np.isfinite(cells).all():
+            raise EstimationError(f"noise scale k = {k!r} gives a non-finite average MSE")
     trials = float(spec.trials)
     empirical = {k: acc.emp_sum[k] / trials for k in ESTIMATOR_KINDS}
     stderr = {

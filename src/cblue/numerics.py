@@ -68,9 +68,6 @@ class HpdFactor:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def solve(self, rhs):
-        return hpd_solve(self, rhs)
-
 
 def hpd_factor(m) -> HpdFactor:
     """Factor a Hermitian positive definite matrix as L @ L.conj().T.

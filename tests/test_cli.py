@@ -241,6 +241,25 @@ def test_experiment_reports_estimation_failure(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_experiment_plot_needs_two_k_values(tmp_path, capsys):
+    config = experiment_config(tmp_path, k_grid=[1.0])
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["experiment", "--config", str(config), "--output", str(out_csv), "--plot"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_experiment_refuses_non_finite_mse(tmp_path, capsys):
+    # 1e-306 * 1e-3 is subnormal, so the inverse noise variances overflow
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_grid": [1e-306], "trials": 2}))
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify", "--trials", "6"]) == 0
     out = capsys.readouterr().out

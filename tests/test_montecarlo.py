@@ -4,18 +4,16 @@ from numpy.testing import assert_allclose
 
 from cblue.errors import RankDeficient
 from cblue.estimators import covariance
-from cblue.model import ConstraintSet, LinearModel, parameterize
+from cblue.model import ConstraintSet, LinearModel
 from cblue.montecarlo import (
     ESTIMATOR_KINDS,
     ExperimentSpec,
     convolution_matrix,
     run_experiment,
     run_reference_trial,
-    sample_noise,
     sample_proper_gaussian,
     standard_estimator_set,
 )
-from cblue.numerics import hpd_factor
 
 
 def small_spec(**overrides):
@@ -70,23 +68,6 @@ def test_proper_gaussian_moments():
     assert abs(pseudo) <= 0.02
 
 
-def test_sample_noise_covariance():
-    rng = np.random.default_rng(73)
-    root = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    cov = root @ root.conj().T + np.eye(3)
-    factor = hpd_factor(cov)
-    draws = sample_noise(factor, rng, size=100_000)
-    assert draws.shape == (100_000, 3)
-    sample_cov = draws.T @ draws.conj() / draws.shape[0]
-    assert np.abs(sample_cov - cov).max() <= 0.05 * np.abs(cov).max()
-
-
-def test_sample_noise_single_draw_shape():
-    factor = hpd_factor(np.eye(4))
-    rng = np.random.default_rng(74)
-    assert sample_noise(factor, rng).shape == (4,)
-
-
 def test_spec_defaults():
     spec = ExperimentSpec()
     assert spec.n_x == 5
@@ -111,6 +92,7 @@ def test_spec_defaults():
         {"trials": 2.5},
         {"seed": 1.5},
         {"trials": True},
+        {"k_grid": (1e300,), "base_noise_diag": (1e10,) * 4},
     ],
 )
 def test_spec_rejects_bad_settings(overrides):
@@ -268,58 +250,78 @@ class ScriptedRng:
         return drawn
 
 
-def test_degenerate_input_sequence_is_regenerated():
-    from cblue.montecarlo import _single_trial_from_draws
-
-    n_x, n_u = 2, 2
-    constraints = ConstraintSet(np.ones((1, n_x)), np.zeros(1))
-    param = parameterize(constraints)
-    cov = np.diag([1.0, 0.5, 0.1])
-    cov_factor = hpd_factor(cov)
-    x = param.basis[:, 0]
-    z = np.zeros(3, dtype=complex)
-    # first u is identically zero: every estimator must refuse it, the trial
-    # then redraws u (one regeneration) from the scripted stream
-    replacement = ScriptedRng([np.array([np.sqrt(2.0), 0.0]), np.zeros(2)])
-    estimates, analytic, regenerations, y = _single_trial_from_draws(
-        np.zeros(n_u, dtype=complex),
-        x,
-        z,
-        replacement,
-        n_x,
-        constraints,
-        cov,
-        cov_factor,
+def regeneration_spec():
+    return ExperimentSpec(
+        n_x=2, n_u=2, base_noise_diag=(1.0, 0.5, 0.1), k_grid=(1.0,), trials=1
     )
-    assert regenerations == 1
+
+
+def test_degenerate_input_sequence_is_regenerated(monkeypatch):
+    import cblue.montecarlo as mc
+
+    # first u is identically zero: every estimator must refuse it, the trial
+    # then redraws u (one regeneration) from the scripted stream; in between
+    # come x = the nullspace basis vector and zero noise
+    replacement = ScriptedRng(
+        [np.zeros(2), np.zeros(2)]
+        + [np.array([np.sqrt(2.0)]), np.zeros(1)]
+        + [np.zeros(3), np.zeros(3)]
+        + [np.array([np.sqrt(2.0), 0.0]), np.zeros(2)]
+    )
+    monkeypatch.setattr(mc, "_trial_rng", lambda *index: replacement)
+    trial = run_reference_trial(regeneration_spec(), 0, 0)
+    assert trial["regenerations"] == 1
     assert not replacement.queue
     # the replacement u is [1, 0]: H is the identity padded with a zero row
-    assert_allclose(y, np.concatenate([x, [0.0]]), atol=1e-12)
+    x = trial["x_true"]
+    assert_allclose(trial["y"], np.concatenate([x, [0.0]]), atol=1e-12)
     for kind in ESTIMATOR_KINDS:
-        assert np.all(np.isfinite(estimates[kind]))
-        assert analytic[kind] > 0
+        assert np.all(np.isfinite(trial["estimates"][kind]))
+        assert trial["analytic"][kind] > 0
 
 
-def test_regeneration_cap():
-    from cblue.montecarlo import _MAX_REGENERATIONS, _single_trial_from_draws
+def test_regeneration_cap(monkeypatch):
+    import cblue.montecarlo as mc
 
-    n_x, n_u = 2, 2
-    constraints = ConstraintSet(np.ones((1, n_x)), np.zeros(1))
-    param = parameterize(constraints)
-    cov = np.diag([1.0, 0.5, 0.1])
-    cov_factor = hpd_factor(cov)
-    zeros_forever = ScriptedRng([np.zeros(2)] * (2 * (_MAX_REGENERATIONS + 1)))
+    zeros_forever = ScriptedRng(
+        [np.zeros(2), np.zeros(2)]
+        + [np.ones(1), np.zeros(1)]
+        + [np.zeros(3), np.zeros(3)]
+        + [np.zeros(2)] * (2 * (mc._MAX_REGENERATIONS + 1))
+    )
+    monkeypatch.setattr(mc, "_trial_rng", lambda *index: zeros_forever)
     with pytest.raises(RankDeficient):
-        _single_trial_from_draws(
-            np.zeros(n_u, dtype=complex),
-            param.basis[:, 0],
-            np.zeros(3, dtype=complex),
-            zeros_forever,
-            n_x,
-            constraints,
-            cov,
-            cov_factor,
-        )
+        run_reference_trial(regeneration_spec(), 0, 0)
+
+
+def test_experiment_regenerates_degenerate_draw(monkeypatch):
+    import cblue.montecarlo as mc
+
+    class ZeroFirstInput:
+        """Real substream, except that the first input sequence is zero."""
+
+        def __init__(self, rng):
+            self.rng = rng
+            self.zero_draws = 2  # real and imaginary part of u
+
+        def standard_normal(self, shape=None):
+            if self.zero_draws:
+                self.zero_draws -= 1
+                return np.zeros(shape)
+            return self.rng.standard_normal(shape)
+
+    real_trial_rng = mc._trial_rng
+
+    def trial_rng(seed, k_index, trial_index):
+        rng = real_trial_rng(seed, k_index, trial_index)
+        return ZeroFirstInput(rng) if (k_index, trial_index) == (0, 0) else rng
+
+    monkeypatch.setattr(mc, "_trial_rng", trial_rng)
+    report = run_experiment(small_spec(trials=6))
+    assert report.regenerations == 1
+    for kind in ESTIMATOR_KINDS:
+        assert np.all(np.isfinite(report.empirical_mse[kind]))
+        assert np.all(np.isfinite(report.analytic_mse[kind]))
 
 
 def test_analytic_mse_scales_linearly_with_noise_level():

@@ -83,7 +83,7 @@ def test_hpd_factor_rejects_non_finite():
 
 def test_hpd_solve_scalar():
     factor = hpd_factor([[4.0]])
-    assert_allclose(factor.solve(np.array([8.0])), [2.0], rtol=1e-15)
+    assert_allclose(hpd_solve(factor, np.array([8.0])), [2.0], rtol=1e-15)
 
 
 def test_hpd_solve_construct_then_solve():
