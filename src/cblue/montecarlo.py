@@ -8,8 +8,14 @@ BLUE, their mean-subtracted variants, constrained least squares, and the
 constrained BLUE.  The report carries the empirical average MSE next to the
 analytic value ``trace(E C E^H) / n_x`` averaged over the same draws.
 
-Every trial draws u, x and the noise, in that order, from its own
-counter-based substream derived from ``(seed, k index, trial index)``, so
+Each noise level has one counter-based Philox stream keyed by
+``(seed, k index)`` (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11).  Trial t owns the fixed block ``[t W, (t + 1) W)`` of that
+stream's uniforms, W being two uniforms per complex value of u, the reduced
+coordinates of x and the noise, padded to whole counter steps.  Each pair
+becomes one proper complex Gaussian in polar form, so a trial consumes the
+same amount of stream whatever it draws: a batch of trials is one call to
+the generator, ``run_reference_trial`` skips straight to trial t, and
 reports are reproducible bit for bit and independent of how trials are
 grouped.  ``run_experiment`` solves trials in batches; a batch it cannot
 solve is rerun trial by trial through ``run_reference_trial``, the public
@@ -18,6 +24,7 @@ estimator API path that the batch engine is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -43,6 +50,10 @@ _DEFAULT_NOISE_DIAG = (1.0, 1.0, 0.5, 0.5, 0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3)
 _DEFAULT_K_GRID = tuple(float(k) for k in np.logspace(-1.0, 0.0, 10))
 _BATCH = 2048
 _MAX_REGENERATIONS = 64
+# Philox4x64 yields four doubles per counter step; Generator.random returns
+# multiples of 2**-53, so 2**-54 is the midpoint of its lowest cell.
+_DOUBLES_PER_STEP = 4
+_LOWEST_CELL_MIDPOINT = 2.0**-54
 
 
 def sample_proper_gaussian(dim: int, rng, size: int | None = None) -> np.ndarray:
@@ -81,25 +92,36 @@ def _convolution_matrices(u: np.ndarray, n_x: int) -> np.ndarray:
     return h
 
 
-def _policy_unit_norm_gaussian(param: NullspaceParam, rng) -> np.ndarray:
-    # Unit-norm feasible direction; the particular term keeps feasibility for
-    # inhomogeneous constraints and vanishes in the zero-sum experiment.
-    while True:
-        alpha = sample_proper_gaussian(param.n0, rng)
-        direction = param.basis @ alpha
-        norm = np.linalg.norm(direction)
-        if norm > 0.0:
-            return param.particular + direction / norm
+def _polar_normals(uniforms: np.ndarray) -> np.ndarray:
+    """Proper complex Gaussians from pairs of uniforms along the last axis.
+
+    Pair (a, b) gives ``|z|^2 = -log(1 - a)``, which is Exp(1), and phase
+    ``2 pi b``: unit variance, zero pseudo-variance.  A draw of a = 0 is read
+    at the midpoint of its cell, so every radius is strictly positive.
+    """
+    a = np.maximum(uniforms[..., 0::2], _LOWEST_CELL_MIDPOINT)
+    phase = 2.0 * np.pi * uniforms[..., 1::2]
+    return np.sqrt(-np.log1p(-a)) * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def _policy_gaussian(param: NullspaceParam, rng) -> np.ndarray:
-    alpha = sample_proper_gaussian(param.n0, rng)
-    return param.particular + param.basis @ alpha
+def _nullspace_point(param: NullspaceParam, alpha: np.ndarray) -> np.ndarray:
+    # basis @ alpha for alpha of any leading shape, summed term by term so
+    # that a trial's x does not depend on how many trials are drawn with it.
+    direction = sum(alpha[..., j, None] * param.basis[:, j] for j in range(param.n0))
+    return param.particular + direction
+
+
+def _policy_unit_norm_gaussian(param: NullspaceParam, alpha: np.ndarray) -> np.ndarray:
+    # Unit-norm feasible direction; the basis is orthonormal, so the norm is
+    # that of alpha, which the polar draws keep positive.  The particular term
+    # keeps feasibility for inhomogeneous constraints and vanishes in the
+    # zero-sum experiment.
+    return _nullspace_point(param, alpha / np.linalg.norm(alpha, axis=-1, keepdims=True))
 
 
 TRUE_X_POLICIES = {
     "unit-norm-gaussian": _policy_unit_norm_gaussian,
-    "gaussian": _policy_gaussian,
+    "gaussian": _nullspace_point,
 }
 
 
@@ -200,22 +222,40 @@ def standard_estimator_set(
     }
 
 
-def _trial_rng(seed: int, k_index: int, trial_index: int):
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(k_index, trial_index))
-    return np.random.default_rng(seq)
+def _trial_rng(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based Philox stream keyed by ``(seed, *key)``.
 
-
-def _draw_trial(spec: ExperimentSpec, param: NullspaceParam, policy, k_index, trial_index):
-    """Draw one trial from its own substream: input u, true x, white noise z.
-
-    Returns the generator too, so rank-deficient draws of u can be
-    regenerated from the rest of the same substream.
+    Key ``(k_index,)`` holds the trial blocks of one noise level; key
+    ``(k_index, trial_index)`` holds the input sequences that replace a
+    rank-deficient draw of that trial.
     """
-    rng = _trial_rng(spec.seed, k_index, trial_index)
-    u = sample_proper_gaussian(spec.n_u, rng)
-    x = policy(param, rng)
-    z = sample_proper_gaussian(spec.n_y, rng)
-    return rng, u, x, z
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_sum_setup(n_x: int) -> tuple[ConstraintSet, NullspaceParam]:
+    """The experiment's constraint ``ones @ x = 0`` and its parameterization."""
+    constraints = ConstraintSet(np.ones((1, n_x)), np.zeros(1))
+    return constraints, parameterize(constraints)
+
+
+def _block_width(spec: ExperimentSpec, param: NullspaceParam) -> int:
+    """Uniforms per trial: a pair per value of u, alpha and z, whole counter steps."""
+    uniforms = 2 * (spec.n_u + param.n0 + spec.n_y)
+    return -(-uniforms // _DOUBLES_PER_STEP) * _DOUBLES_PER_STEP
+
+
+def _draw_trial(spec: ExperimentSpec, param: NullspaceParam, block: np.ndarray):
+    """Turn trial blocks of uniforms, shape ``(..., W)``, into u, true x, noise z.
+
+    The values are taken in the order u, then the reduced coordinates alpha
+    of x, then white noise z; the configured policy maps alpha to x.
+    """
+    n_values = spec.n_u + param.n0 + spec.n_y
+    values = _polar_normals(block[..., : 2 * n_values])
+    u, alpha, z = np.split(values, [spec.n_u, spec.n_u + param.n0], axis=-1)
+    return u, TRUE_X_POLICIES[spec.true_x_policy](param, alpha), z
 
 
 def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) -> dict:
@@ -224,22 +264,23 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     Uses the same draws as :func:`run_experiment`, so its output pins down
     what the vectorized sweep must produce for that trial; the sweep also
     falls back to it for a batch it cannot solve.  A rank-deficient input
-    sequence is redrawn from the trial's substream and counted.
+    sequence is redrawn from the trial's own substream and counted; the
+    returned ``u`` is the one the model was built from.
     """
     if not 0 <= k_index < len(spec.k_grid):
         raise IndexError(f"k_index {k_index} outside grid of {len(spec.k_grid)}")
     if not 0 <= trial_index < spec.trials:
         raise IndexError(f"trial_index {trial_index} outside {spec.trials} trials")
-    constraints = ConstraintSet(np.ones((1, spec.n_x)), np.zeros(1))
-    param = parameterize(constraints)
-    policy = TRUE_X_POLICIES[spec.true_x_policy]
+    constraints, param = _zero_sum_setup(spec.n_x)
     d = spec.k_grid[k_index] * np.asarray(spec.base_noise_diag)
     cov = np.diag(d)
-    rng, u, x, z = _draw_trial(spec, param, policy, k_index, trial_index)
+    width = _block_width(spec, param)
+    rng = _trial_rng(spec.seed, k_index)
+    rng.bit_generator.advance(trial_index * width // _DOUBLES_PER_STEP)
+    u, x, z = _draw_trial(spec, param, rng.random(width))
     regenerations = 0
-    current_u = u
     while True:
-        h = convolution_matrix(current_u, spec.n_x)
+        h = convolution_matrix(u, spec.n_x)
         try:
             estimators = standard_estimator_set(LinearModel(h, cov), constraints)
             break
@@ -247,7 +288,9 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
             regenerations += 1
             if regenerations > _MAX_REGENERATIONS:
                 raise
-            current_u = sample_proper_gaussian(spec.n_u, rng)
+            if regenerations == 1:
+                rng = _trial_rng(spec.seed, k_index, trial_index)
+            u = _polar_normals(rng.random(2 * spec.n_u))
     y = h @ x + np.sqrt(d) * z
     return {
         "u": u,
@@ -262,7 +305,8 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     }
 
 
-def _batch_sweep(u_b, x_b, noise_b, dinv, d, n_x):
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _batch_sweep(u_b, x_b, noise_b, d, n_x):
     """Vectorized six-estimator sweep over a batch of trials.
 
     Specializes the formulas of the public constructors to this experiment:
@@ -273,22 +317,23 @@ def _batch_sweep(u_b, x_b, noise_b, dinv, d, n_x):
     batch through stacked Cholesky factors and the shared constraint step
     made the whole sweep about 17 % slower (numpy 2.4, scipy 1.17, 2-core
     Xeon).  ``test_experiment_matches_reference_path`` holds the two paths
-    together.
+    together.  Floating-point warnings are silenced: a noise level that
+    overflows here yields non-finite cells, which ``run_experiment`` refuses.
     """
     n_trials = u_b.shape[0]
     hb = _convolution_matrices(u_b, n_x)
     hh = hb.conj().transpose(0, 2, 1)
-    q = hh @ hb
-    w = dinv[None, :, None] * hb
-    p = hh @ w
-    e_ls = np.linalg.solve(q, hh)
-    e_blue = np.linalg.solve(p, w.conj().transpose(0, 2, 1))
-    ones_row = np.ones((1, n_x), dtype=np.complex128)
-    ones_col = np.broadcast_to(
-        np.ones((n_x, 1), dtype=np.complex128), (n_trials, n_x, 1)
+    w = (1.0 / d)[None, :, None] * hb
+    # One factorization per Gram matrix: each solve also yields G^-1 1 for
+    # the constraint step, from an appended column of ones.
+    ones_col = np.ones((n_trials, n_x, 1), dtype=np.complex128)
+    ls_sol = np.linalg.solve(hh @ hb, np.concatenate([hh, ones_col], axis=2))
+    blue_sol = np.linalg.solve(
+        hh @ w, np.concatenate([w.conj().transpose(0, 2, 1), ones_col], axis=2)
     )
-    g_q = np.linalg.solve(q, ones_col)
-    g_p = np.linalg.solve(p, ones_col)
+    e_ls, g_q = ls_sol[..., :-1], ls_sol[..., -1:]
+    e_blue, g_p = blue_sol[..., :-1], blue_sol[..., -1:]
+    ones_row = np.ones((1, n_x), dtype=np.complex128)
     e_cls = e_ls - g_q @ ((ones_row @ e_ls) / (ones_row @ g_q))
     e_cb = e_blue - g_p @ ((ones_row @ e_blue) / (ones_row @ g_p))
     centering = np.eye(n_x) - np.full((n_x, n_x), 1.0 / n_x)
@@ -311,25 +356,28 @@ def _batch_sweep(u_b, x_b, noise_b, dinv, d, n_x):
 
 
 class _Accumulators:
+    """Per-k totals of per-trial statistics, added in trial order.
+
+    Sequential rather than pairwise sums keep every total, and so the
+    report, independent of how trials are batched.  For each estimator kind
+    the columns hold the trial's MSE, its square and its analytic MSE, then
+    per element the real and imaginary error and the squared error.
+    """
+
     def __init__(self, nk: int, n_x: int):
-        self.emp_sum = {kind: np.zeros(nk) for kind in ESTIMATOR_KINDS}
-        self.emp_sq_sum = {kind: np.zeros(nk) for kind in ESTIMATOR_KINDS}
-        self.ana_sum = {kind: np.zeros(nk) for kind in ESTIMATOR_KINDS}
-        self.err_sum = {
-            kind: np.zeros((nk, n_x), dtype=np.complex128) for kind in ESTIMATOR_KINDS
-        }
-        self.sq_err_sum = {kind: np.zeros((nk, n_x)) for kind in ESTIMATOR_KINDS}
+        self.totals = np.zeros((nk, len(ESTIMATOR_KINDS), 3 + 3 * n_x))
 
     def add_batch(self, k_index: int, errors: dict, analytic: dict):
-        for kind in ESTIMATOR_KINDS:
-            err = np.atleast_2d(errors[kind])
-            squared = np.square(np.abs(err))
-            per_trial_mse = squared.mean(axis=1)
-            self.emp_sum[kind][k_index] += per_trial_mse.sum()
-            self.emp_sq_sum[kind][k_index] += np.square(per_trial_mse).sum()
-            self.ana_sum[kind][k_index] += np.atleast_1d(analytic[kind]).sum()
-            self.err_sum[kind][k_index] += err.sum(axis=0)
-            self.sq_err_sum[kind][k_index] += squared.sum(axis=0)
+        err = np.stack([np.atleast_2d(errors[kind]) for kind in ESTIMATOR_KINDS], axis=1)
+        squared = np.square(np.abs(err))
+        mse = squared.mean(axis=2)
+        ana = np.stack([np.atleast_1d(analytic[kind]) for kind in ESTIMATOR_KINDS], axis=1)
+        stats = np.concatenate(
+            [np.stack([mse, np.square(mse), ana], axis=2), err.real, err.imag, squared],
+            axis=2,
+        )
+        stats[0] += self.totals[k_index]
+        self.totals[k_index] = stats.cumsum(axis=0)[-1]
 
 
 def run_experiment(spec: ExperimentSpec) -> MseReport:
@@ -343,8 +391,8 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     """
     n_x = spec.n_x
     base_diag = np.asarray(spec.base_noise_diag)
-    param = parameterize(ConstraintSet(np.ones((1, n_x)), np.zeros(1)))
-    policy = TRUE_X_POLICIES[spec.true_x_policy]
+    _, param = _zero_sum_setup(n_x)
+    width = _block_width(spec, param)
     nk = len(spec.k_grid)
     acc = _Accumulators(nk, n_x)
     regenerations = 0
@@ -353,18 +401,15 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
         sqrt_d = np.sqrt(d)
         # Refuses the noise levels the reference path's LinearModel refuses.
         hpd_factor(np.diag(d))
+        rng = _trial_rng(spec.seed, k_index)
         for start in range(0, spec.trials, _BATCH):
             stop = min(start + _BATCH, spec.trials)
-            draws = [
-                _draw_trial(spec, param, policy, k_index, t) for t in range(start, stop)
-            ]
-            _, u_rows, x_rows, z_rows = zip(*draws)
-            u_batch = np.array(u_rows)
-            x_batch = np.array(x_rows)
-            noise_batch = np.array(z_rows) * sqrt_d
+            u_batch, x_batch, z_batch = _draw_trial(
+                spec, param, rng.random((stop - start, width))
+            )
             try:
                 errors, analytic = _batch_sweep(
-                    u_batch, x_batch, noise_batch, 1.0 / d, d, n_x
+                    u_batch, x_batch, z_batch * sqrt_d, d, n_x
                 )
             except np.linalg.LinAlgError:
                 # A rank-deficient draw poisons the whole stacked solve; redo
@@ -379,19 +424,17 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
                     acc.add_batch(k_index, trial_errors, trial["analytic"])
                 continue
             acc.add_batch(k_index, errors, analytic)
-        cells = [acc.emp_sum[kind][k_index] for kind in ESTIMATOR_KINDS]
-        cells += [acc.ana_sum[kind][k_index] for kind in ESTIMATOR_KINDS]
-        if not np.isfinite(cells).all():
+        if not np.isfinite(acc.totals[k_index, :, [0, 2]]).all():
             raise EstimationError(f"noise scale k = {k!r} gives a non-finite average MSE")
-    trials = float(spec.trials)
-    empirical = {k: acc.emp_sum[k] / trials for k in ESTIMATOR_KINDS}
-    stderr = {
-        k: np.sqrt(
-            np.clip(acc.emp_sq_sum[k] / trials - np.square(empirical[k]), 0.0, None)
-            / trials
-        )
-        for k in ESTIMATOR_KINDS
-    }
+    means = acc.totals / float(spec.trials)
+
+    def per_kind(columns):
+        return {kind: means[:, i, columns] for i, kind in enumerate(ESTIMATOR_KINDS)}
+
+    empirical = per_kind(0)
+    mean_square = per_kind(1)
+    real_bias = per_kind(slice(3, 3 + n_x))
+    imag_bias = per_kind(slice(3 + n_x, 3 + 2 * n_x))
     return MseReport(
         k_grid=spec.k_grid,
         kinds=ESTIMATOR_KINDS,
@@ -399,9 +442,15 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
         seed=spec.seed,
         true_x_policy=spec.true_x_policy,
         empirical_mse=empirical,
-        analytic_mse={k: acc.ana_sum[k] / trials for k in ESTIMATOR_KINDS},
-        mse_stderr=stderr,
-        elementwise_bias={k: acc.err_sum[k] / trials for k in ESTIMATOR_KINDS},
-        elementwise_mse={k: acc.sq_err_sum[k] / trials for k in ESTIMATOR_KINDS},
+        analytic_mse=per_kind(2),
+        mse_stderr={
+            k: np.sqrt(
+                np.clip(mean_square[k] - np.square(empirical[k]), 0.0, None)
+                / spec.trials
+            )
+            for k in ESTIMATOR_KINDS
+        },
+        elementwise_bias={k: real_bias[k] + 1j * imag_bias[k] for k in ESTIMATOR_KINDS},
+        elementwise_mse=per_kind(slice(3 + 2 * n_x, None)),
         regenerations=regenerations,
     )

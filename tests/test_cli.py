@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cblue
 from cblue.cli import main
 from cblue.fileio import CSV_HEADER, save_matrix
 
@@ -257,6 +262,28 @@ def test_experiment_refuses_non_finite_mse(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_experiment_refusal_prints_only_the_error_line(tmp_path):
+    # numpy floating-point warnings must not come before the error line, so
+    # the command runs in a fresh interpreter with warnings shown
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_grid": [1e-306], "trials": 2}))
+    out_csv = tmp_path / "sweep.csv"
+    src = str(Path(cblue.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-c", "from cblue.cli import run; run()",
+         "experiment", "--config", str(config), "--output", str(out_csv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
     assert not out_csv.exists()
 
 

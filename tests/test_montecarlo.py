@@ -237,16 +237,18 @@ def test_fallback_path_matches_batched_engine(monkeypatch):
     assert fallback.regenerations == batched.regenerations == 0
 
 
-class ScriptedRng:
-    """Stands in for a Generator; hands out queued standard_normal arrays."""
+class ScriptedNormals:
+    """Stands in for ``_polar_normals``; hands out queued complex draws.
+
+    Each call checks that it was given two uniforms per value it returns.
+    """
 
     def __init__(self, arrays):
-        self.queue = [np.asarray(a, dtype=float) for a in arrays]
+        self.queue = [np.asarray(a, dtype=complex) for a in arrays]
 
-    def standard_normal(self, shape=None):
+    def __call__(self, uniforms):
         drawn = self.queue.pop(0)
-        expected = (drawn.shape if drawn.shape else ()) if shape is None else shape
-        assert drawn.shape == (expected if isinstance(expected, tuple) else (expected,))
+        assert uniforms.shape == drawn.shape[:-1] + (2 * drawn.shape[-1],)
         return drawn
 
 
@@ -260,15 +262,13 @@ def test_degenerate_input_sequence_is_regenerated(monkeypatch):
     import cblue.montecarlo as mc
 
     # first u is identically zero: every estimator must refuse it, the trial
-    # then redraws u (one regeneration) from the scripted stream; in between
-    # come x = the nullspace basis vector and zero noise
-    replacement = ScriptedRng(
-        [np.zeros(2), np.zeros(2)]
-        + [np.array([np.sqrt(2.0)]), np.zeros(1)]
-        + [np.zeros(3), np.zeros(3)]
-        + [np.array([np.sqrt(2.0), 0.0]), np.zeros(2)]
+    # then redraws u (one regeneration) from its own substream; the trial
+    # block carries u, then alpha = 1 (x = the nullspace basis vector), then
+    # zero noise
+    replacement = ScriptedNormals(
+        [np.concatenate([np.zeros(2), [1.0], np.zeros(3)]), np.array([1.0, 0.0])]
     )
-    monkeypatch.setattr(mc, "_trial_rng", lambda *index: replacement)
+    monkeypatch.setattr(mc, "_polar_normals", replacement)
     trial = run_reference_trial(regeneration_spec(), 0, 0)
     assert trial["regenerations"] == 1
     assert not replacement.queue
@@ -283,45 +283,132 @@ def test_degenerate_input_sequence_is_regenerated(monkeypatch):
 def test_regeneration_cap(monkeypatch):
     import cblue.montecarlo as mc
 
-    zeros_forever = ScriptedRng(
-        [np.zeros(2), np.zeros(2)]
-        + [np.ones(1), np.zeros(1)]
-        + [np.zeros(3), np.zeros(3)]
-        + [np.zeros(2)] * (2 * (mc._MAX_REGENERATIONS + 1))
+    zeros_forever = ScriptedNormals(
+        [np.concatenate([np.zeros(2), [1.0], np.zeros(3)])]
+        + [np.zeros(2)] * (mc._MAX_REGENERATIONS + 1)
     )
-    monkeypatch.setattr(mc, "_trial_rng", lambda *index: zeros_forever)
+    monkeypatch.setattr(mc, "_polar_normals", zeros_forever)
     with pytest.raises(RankDeficient):
         run_reference_trial(regeneration_spec(), 0, 0)
+
+
+def test_reference_trial_returns_the_input_it_modelled(monkeypatch):
+    import cblue.montecarlo as mc
+
+    spec = regeneration_spec()
+    noise = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j])
+    replacement_u = np.array([0.7 + 0.2j, -0.4 + 1.3j])
+    monkeypatch.setattr(
+        mc,
+        "_polar_normals",
+        ScriptedNormals(
+            [np.concatenate([np.zeros(2), [1.0], noise]), replacement_u]
+        ),
+    )
+    trial = run_reference_trial(spec, 0, 0)
+    assert trial["regenerations"] == 1
+    assert_allclose(trial["u"], replacement_u, atol=0)
+    noiseless = trial["y"] - np.sqrt(np.asarray(spec.base_noise_diag)) * noise
+    assert_allclose(
+        convolution_matrix(trial["u"], spec.n_x) @ trial["x_true"],
+        noiseless,
+        rtol=1e-12,
+        atol=1e-14,
+    )
 
 
 def test_experiment_regenerates_degenerate_draw(monkeypatch):
     import cblue.montecarlo as mc
 
-    class ZeroFirstInput:
-        """Real substream, except that the first input sequence is zero."""
+    spec = small_spec(trials=6)
+    _, param = mc._zero_sum_setup(spec.n_x)
+    n_uniforms = 2 * (spec.n_u + param.n0 + spec.n_y)
+    first_block = mc._trial_rng(spec.seed, 0).random(mc._block_width(spec, param))
+    real_polar_normals = mc._polar_normals
 
-        def __init__(self, rng):
-            self.rng = rng
-            self.zero_draws = 2  # real and imaginary part of u
+    def zero_first_input(uniforms):
+        """Real draws, except that trial (k=0, t=0) gets a zero input sequence."""
+        values = real_polar_normals(uniforms)
+        if uniforms.shape[-1] == n_uniforms:
+            hit = np.all(uniforms == first_block[:n_uniforms], axis=-1)
+            values[..., : spec.n_u][hit] = 0.0
+        return values
 
-        def standard_normal(self, shape=None):
-            if self.zero_draws:
-                self.zero_draws -= 1
-                return np.zeros(shape)
-            return self.rng.standard_normal(shape)
-
-    real_trial_rng = mc._trial_rng
-
-    def trial_rng(seed, k_index, trial_index):
-        rng = real_trial_rng(seed, k_index, trial_index)
-        return ZeroFirstInput(rng) if (k_index, trial_index) == (0, 0) else rng
-
-    monkeypatch.setattr(mc, "_trial_rng", trial_rng)
-    report = run_experiment(small_spec(trials=6))
+    monkeypatch.setattr(mc, "_polar_normals", zero_first_input)
+    report = run_experiment(spec)
     assert report.regenerations == 1
     for kind in ESTIMATOR_KINDS:
         assert np.all(np.isfinite(report.empirical_mse[kind]))
         assert np.all(np.isfinite(report.analytic_mse[kind]))
+
+
+def test_experiment_is_independent_of_batch_size(monkeypatch):
+    import cblue.montecarlo as mc
+
+    spec = small_spec(trials=7)
+    whole = run_experiment(spec)
+    monkeypatch.setattr(mc, "_BATCH", 3)
+    batched = run_experiment(spec)
+    for field in (
+        "empirical_mse",
+        "analytic_mse",
+        "mse_stderr",
+        "elementwise_bias",
+        "elementwise_mse",
+    ):
+        for kind in ESTIMATOR_KINDS:
+            assert np.array_equal(getattr(whole, field)[kind], getattr(batched, field)[kind])
+    assert whole.regenerations == batched.regenerations
+
+
+@pytest.mark.parametrize("policy", ["unit-norm-gaussian", "gaussian"])
+def test_reference_trial_reproduces_trials_across_a_batch_boundary(monkeypatch, policy):
+    import cblue.montecarlo as mc
+
+    spec = small_spec(trials=6, true_x_policy=policy)
+    batches = []
+    real_batch_sweep = mc._batch_sweep
+
+    def recording_batch_sweep(u_b, x_b, noise_b, d, n_x):
+        errors, analytic = real_batch_sweep(u_b, x_b, noise_b, d, n_x)
+        batches.append((u_b, x_b, noise_b, errors))
+        return errors, analytic
+
+    monkeypatch.setattr(mc, "_BATCH", 4)
+    monkeypatch.setattr(mc, "_batch_sweep", recording_batch_sweep)
+    run_experiment(spec)
+    assert len(batches) == 2 * len(spec.k_grid)
+    for k_index in range(len(spec.k_grid)):
+        # trial 3 closes the first batch of this k, trial 4 opens the second
+        for trial_index, batch, row in ((3, 2 * k_index, 3), (4, 2 * k_index + 1, 0)):
+            u_b, x_b, noise_b, errors = batches[batch]
+            trial = run_reference_trial(spec, k_index, trial_index)
+            assert np.array_equal(trial["u"], u_b[row])
+            assert np.array_equal(trial["x_true"], x_b[row])
+            assert_allclose(
+                trial["y"],
+                convolution_matrix(u_b[row], spec.n_x) @ x_b[row] + noise_b[row],
+                rtol=1e-13,
+            )
+            for kind in ESTIMATOR_KINDS:
+                assert_allclose(
+                    trial["estimates"][kind], errors[kind][row] + x_b[row], rtol=1e-10
+                )
+
+
+def test_polar_normals_moments():
+    from cblue.montecarlo import _polar_normals
+
+    uniforms = np.random.default_rng(73).random((125_000, 8))
+    draws = _polar_normals(uniforms).ravel()
+    n = draws.size
+    assert abs(draws.mean()) <= 4.0 / np.sqrt(n)
+    assert abs(np.mean(np.abs(draws) ** 2) - 1.0) <= 0.02
+    assert abs(np.mean(draws**2)) <= 0.02
+    assert np.abs(draws).min() > 0.0
+    # the extreme uniforms still give a positive, finite radius
+    edges = np.abs(_polar_normals(np.array([0.0, 0.0, 1.0 - 2.0**-53, 0.5])))
+    assert np.all(edges > 0.0) and np.all(np.isfinite(edges))
 
 
 def test_analytic_mse_scales_linearly_with_noise_level():
