@@ -120,7 +120,7 @@ def _cmd_experiment(args) -> int:
         return 2
     print(
         f"report written to {args.output}: {len(report.k_grid)} k values, "
-        f"{report.trials} trials each, {report.regenerations} regenerated draws"
+        f"{report.trials} trials each"
     )
     return 0
 

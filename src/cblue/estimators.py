@@ -12,12 +12,15 @@ direct form additionally needs H itself to have full column rank.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EstimationError,
     NotPositiveDefinite,
     RankDeficient,
     RankDeficientConstraints,
@@ -87,6 +90,20 @@ class CovarianceResult:
         object.__setattr__(self, "per_element_variance", diag)
 
 
+def _hermitian_product(what: str, *factors: np.ndarray) -> np.ndarray:
+    """Hermitian part of the product of ``factors``, taken left to right.
+
+    A product that leaves the range of double precision raises
+    ``EstimationError`` naming ``what``, not a numpy warning followed by a
+    ``ValueError`` from the next consumer.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = hermitized(functools.reduce(operator.matmul, factors))
+    if not np.isfinite(product).all():
+        raise EstimationError(f"{what} is not finite in double precision; rescale the problem")
+    return product
+
+
 def _gram_factor(model: LinearModel, weighted: bool):
     """Factor Q (unweighted) or P (noise-weighted), mapping PD failure to rank."""
     h = model.H
@@ -98,10 +115,10 @@ def _gram_factor(model: LinearModel, weighted: bool):
         )
     if weighted:
         whitened = hpd_solve(model.noise_factor, h)
-        gram = hermitized(h.conj().T @ whitened)
+        gram = _hermitian_product("noise-weighted Gram matrix", h.conj().T, whitened)
     else:
         whitened = None
-        gram = hermitized(h.conj().T @ h)
+        gram = _hermitian_product("Gram matrix", h.conj().T, h)
     try:
         factor = hpd_factor(gram)
     except NotPositiveDefinite as exc:
@@ -118,7 +135,7 @@ def _reduced_gram_factor(model: LinearModel, basis: np.ndarray):
     """
     reduced = model.H @ basis
     whitened = hpd_solve(model.noise_factor, reduced)
-    gram = hermitized(reduced.conj().T @ whitened)
+    gram = _hermitian_product("reduced Gram matrix", reduced.conj().T, whitened)
     try:
         factor = hpd_factor(gram)
     except NotPositiveDefinite as exc:
@@ -145,7 +162,7 @@ def _constrain(e_free: np.ndarray, factor, constraints: ConstraintSet):
     """
     a = constraints.A
     g = hpd_solve(factor, a.conj().T)
-    s = hermitized(a @ g)
+    s = _hermitian_product("constraint Gram matrix", a, g)
     try:
         s_factor = hpd_factor(s)
     except NotPositiveDefinite as exc:
@@ -256,7 +273,9 @@ def project_onto_constraints(
             f"{base.E.shape[0]}"
         )
     try:
-        gram_factor = hpd_factor(hermitized(a @ a.conj().T))
+        gram_factor = hpd_factor(
+            _hermitian_product("constraint Gram matrix", a, a.conj().T)
+        )
     except NotPositiveDefinite as exc:
         raise RankDeficientConstraints(
             "constraint matrix is numerically rank deficient"
@@ -274,7 +293,9 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
             f"noise covariance {c.shape} does not match estimator matrix "
             f"{est.E.shape}"
         )
-    return CovarianceResult(C=hermitized(est.E @ c @ est.E.conj().T))
+    return CovarianceResult(
+        C=_hermitian_product("error covariance", est.E, c, est.E.conj().T)
+    )
 
 
 def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> CovarianceResult:
@@ -288,8 +309,9 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis
         factor, _ = _reduced_gram_factor(model, basis)
-        cov = basis @ hpd_solve(factor, basis.conj().T)
-        return CovarianceResult(C=hermitized(cov))
+        return CovarianceResult(
+            C=_hermitian_product("error covariance", basis, hpd_solve(factor, basis.conj().T))
+        )
     if isinstance(constraints_or_param, ConstraintSet):
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)

@@ -17,9 +17,10 @@ becomes one proper complex Gaussian in polar form, so a trial consumes the
 same amount of stream whatever it draws: a batch of trials is one call to
 the generator, ``run_reference_trial`` skips straight to trial t, and
 reports are reproducible bit for bit and independent of how trials are
-grouped.  ``run_experiment`` solves trials in batches; a batch it cannot
-solve is rerun trial by trial through ``run_reference_trial``, the public
-estimator API path that the batch engine is tested against.
+grouped.  ``run_experiment`` solves trials in batches, and a batch whose
+stacked solve finds a singular Gram matrix ends the sweep with an
+``EstimationError``.  ``run_reference_trial`` runs one trial through the
+public estimator API, the path that the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, RankDeficient
+from .errors import EstimationError
 from .estimators import (
     AffineEstimator,
     blue,
@@ -49,7 +50,6 @@ ESTIMATOR_KINDS = ("ls", "ls_meansub", "cls", "blue", "blue_meansub", "cblue")
 _DEFAULT_NOISE_DIAG = (1.0, 1.0, 0.5, 0.5, 0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3)
 _DEFAULT_K_GRID = tuple(float(k) for k in np.logspace(-1.0, 0.0, 10))
 _BATCH = 2048
-_MAX_REGENERATIONS = 64
 # Philox4x64 yields four doubles per counter step; Generator.random returns
 # multiples of 2**-53, so 2**-54 is the midpoint of its lowest cell.
 _DOUBLES_PER_STEP = 4
@@ -191,6 +191,8 @@ class MseReport:
     array over the k grid; ``mse_stderr`` is the standard error of the
     empirical mean.  ``elementwise_bias`` and ``elementwise_mse`` keep the
     per-element error mean and second moment for bias checks.
+    ``regenerations`` is always 0, since the sweep never redraws an input;
+    the field stays until the benchmark's trace stops reading it.
     """
 
     k_grid: tuple[float, ...]
@@ -203,7 +205,7 @@ class MseReport:
     mse_stderr: dict
     elementwise_bias: dict
     elementwise_mse: dict
-    regenerations: int
+    regenerations: int = 0
 
 
 def standard_estimator_set(
@@ -222,14 +224,9 @@ def standard_estimator_set(
     }
 
 
-def _trial_rng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based Philox stream keyed by ``(seed, *key)``.
-
-    Key ``(k_index,)`` holds the trial blocks of one noise level; key
-    ``(k_index, trial_index)`` holds the input sequences that replace a
-    rank-deficient draw of that trial.
-    """
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+def _trial_rng(seed: int, k_index: int) -> np.random.Generator:
+    """Counter-based Philox stream holding the trial blocks of noise level ``k_index``."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(k_index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -262,10 +259,8 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     """Run a single trial through the plain estimator API.
 
     Uses the same draws as :func:`run_experiment`, so its output pins down
-    what the vectorized sweep must produce for that trial; the sweep also
-    falls back to it for a batch it cannot solve.  A rank-deficient input
-    sequence is redrawn from the trial's own substream and counted; the
-    returned ``u`` is the one the model was built from.
+    what the vectorized sweep must produce for that trial.  A rank-deficient
+    input sequence makes the estimator constructors raise ``RankDeficient``.
     """
     if not 0 <= k_index < len(spec.k_grid):
         raise IndexError(f"k_index {k_index} outside grid of {len(spec.k_grid)}")
@@ -278,19 +273,8 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     rng = _trial_rng(spec.seed, k_index)
     rng.bit_generator.advance(trial_index * width // _DOUBLES_PER_STEP)
     u, x, z = _draw_trial(spec, param, rng.random(width))
-    regenerations = 0
-    while True:
-        h = convolution_matrix(u, spec.n_x)
-        try:
-            estimators = standard_estimator_set(LinearModel(h, cov), constraints)
-            break
-        except RankDeficient:
-            regenerations += 1
-            if regenerations > _MAX_REGENERATIONS:
-                raise
-            if regenerations == 1:
-                rng = _trial_rng(spec.seed, k_index, trial_index)
-            u = _polar_normals(rng.random(2 * spec.n_u))
+    h = convolution_matrix(u, spec.n_x)
+    estimators = standard_estimator_set(LinearModel(h, cov), constraints)
     y = h @ x + np.sqrt(d) * z
     return {
         "u": u,
@@ -301,7 +285,6 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
             kind: covariance(est, cov).per_element_variance.sum() / spec.n_x
             for kind, est in estimators.items()
         },
-        "regenerations": regenerations,
     }
 
 
@@ -312,13 +295,19 @@ def _batch_sweep(u_b, x_b, noise_b, d, n_x):
     Specializes the formulas of the public constructors to this experiment:
     the noise covariance is diagonal, the constraint is a single zero-sum
     row (so the constraint step is a rank-one update), and its right-hand
-    side is zero (so offsets vanish).  It stays separate from the public
-    constructors because numpy has no stacked triangular solve: routing the
-    batch through stacked Cholesky factors and the shared constraint step
-    made the whole sweep about 17 % slower (numpy 2.4, scipy 1.17, 2-core
-    Xeon).  ``test_experiment_matches_reference_path`` holds the two paths
-    together.  Floating-point warnings are silenced: a noise level that
-    overflows here yields non-finite cells, which ``run_experiment`` refuses.
+    side is zero (so offsets vanish).  LS and BLUE differ only in their Gram
+    matrix, so one loop over the two families applies the constraint step
+    and the centering to each.  It stays separate from the public constructors
+    because numpy has no stacked triangular solve: routing the batch through
+    stacked Cholesky factors and the shared constraint step made the whole
+    sweep about 17 % slower (numpy 2.4, scipy 1.17, 2-core Xeon).
+    ``test_experiment_matches_reference_path`` holds the two paths together.
+
+    Returns the estimation errors, shape ``(B, 6, n_x)``, and the analytic
+    MSEs, shape ``(B, 6)``, in ``ESTIMATOR_KINDS`` order.  A singular Gram
+    matrix raises ``LinAlgError``.  Floating-point warnings are silenced: a
+    noise level that overflows here yields non-finite cells, which
+    ``run_experiment`` refuses.
     """
     n_trials = u_b.shape[0]
     hb = _convolution_matrices(u_b, n_x)
@@ -331,53 +320,20 @@ def _batch_sweep(u_b, x_b, noise_b, d, n_x):
     blue_sol = np.linalg.solve(
         hh @ w, np.concatenate([w.conj().transpose(0, 2, 1), ones_col], axis=2)
     )
-    e_ls, g_q = ls_sol[..., :-1], ls_sol[..., -1:]
-    e_blue, g_p = blue_sol[..., :-1], blue_sol[..., -1:]
     ones_row = np.ones((1, n_x), dtype=np.complex128)
-    e_cls = e_ls - g_q @ ((ones_row @ e_ls) / (ones_row @ g_q))
-    e_cb = e_blue - g_p @ ((ones_row @ e_blue) / (ones_row @ g_p))
     centering = np.eye(n_x) - np.full((n_x, n_x), 1.0 / n_x)
-    mats = {
-        "ls": e_ls,
-        "ls_meansub": centering @ e_ls,
-        "cls": e_cls,
-        "blue": e_blue,
-        "blue_meansub": centering @ e_blue,
-        "cblue": e_cb,
-    }
     y = (hb @ x_b[:, :, None])[:, :, 0] + noise_b
-    errors = {}
-    analytic = {}
-    for kind, e in mats.items():
-        estimates = (e @ y[:, :, None])[:, :, 0]
-        errors[kind] = estimates - x_b
-        analytic[kind] = (np.square(np.abs(e)) * d[None, None, :]).sum(axis=(1, 2)) / n_x
-    return errors, analytic
-
-
-class _Accumulators:
-    """Per-k totals of per-trial statistics, added in trial order.
-
-    Sequential rather than pairwise sums keep every total, and so the
-    report, independent of how trials are batched.  For each estimator kind
-    the columns hold the trial's MSE, its square and its analytic MSE, then
-    per element the real and imaginary error and the squared error.
-    """
-
-    def __init__(self, nk: int, n_x: int):
-        self.totals = np.zeros((nk, len(ESTIMATOR_KINDS), 3 + 3 * n_x))
-
-    def add_batch(self, k_index: int, errors: dict, analytic: dict):
-        err = np.stack([np.atleast_2d(errors[kind]) for kind in ESTIMATOR_KINDS], axis=1)
-        squared = np.square(np.abs(err))
-        mse = squared.mean(axis=2)
-        ana = np.stack([np.atleast_1d(analytic[kind]) for kind in ESTIMATOR_KINDS], axis=1)
-        stats = np.concatenate(
-            [np.stack([mse, np.square(mse), ana], axis=2), err.real, err.imag, squared],
-            axis=2,
-        )
-        stats[0] += self.totals[k_index]
-        self.totals[k_index] = stats.cumsum(axis=0)[-1]
+    # Indexed (trial, family, variant): the family is LS, then BLUE; the
+    # variant is free, mean-subtracted, then constrained.
+    errors = np.empty((n_trials, 2, 3, n_x), dtype=np.complex128)
+    analytic = np.empty((n_trials, 2, 3))
+    for family, sol in enumerate((ls_sol, blue_sol)):
+        e_free, g = sol[..., :-1], sol[..., -1:]
+        e_constrained = e_free - g @ ((ones_row @ e_free) / (ones_row @ g))
+        for variant, e in enumerate((e_free, centering @ e_free, e_constrained)):
+            errors[:, family, variant] = (e @ y[:, :, None])[:, :, 0] - x_b
+            analytic[:, family, variant] = (np.square(np.abs(e)) * d).sum(axis=(1, 2)) / n_x
+    return errors.reshape(n_trials, -1, n_x), analytic.reshape(n_trials, -1)
 
 
 def run_experiment(spec: ExperimentSpec) -> MseReport:
@@ -386,20 +342,26 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     For every scale factor in ``spec.k_grid`` and every trial: draw a fresh
     input sequence, build its convolution matrix, draw a feasible zero-sum
     parameter vector by the configured policy, add scaled noise, and apply
-    all six estimators.  The rare draw whose convolution matrix loses rank
-    is regenerated and counted.  Identical specs produce identical reports.
+    all six estimators.  A batch whose convolution matrices lose rank ends
+    the sweep with an ``EstimationError`` naming k and the trials.
+    Identical specs produce identical reports.
     """
     n_x = spec.n_x
     base_diag = np.asarray(spec.base_noise_diag)
     _, param = _zero_sum_setup(n_x)
     width = _block_width(spec, param)
-    nk = len(spec.k_grid)
-    acc = _Accumulators(nk, n_x)
-    regenerations = 0
+    # Per-k totals of per-trial statistics, added in trial order: sequential
+    # rather than pairwise sums keep every total, and so the report,
+    # independent of how trials are batched.  For each estimator kind the
+    # columns hold the trial's MSE, its square and its analytic MSE, then
+    # per element the real and imaginary error and the squared error.
+    totals = np.zeros((len(spec.k_grid), len(ESTIMATOR_KINDS), 3 + 3 * n_x))
     for k_index, k in enumerate(spec.k_grid):
         d = k * base_diag
         sqrt_d = np.sqrt(d)
-        # Refuses the noise levels the reference path's LinearModel refuses.
+        # The sweep accepts exactly the noise levels that the public
+        # LinearModel accepts; a diagonal that fails its pivot gate ends the
+        # sweep here (test_experiment_reports_estimation_failure).
         hpd_factor(np.diag(d))
         rng = _trial_rng(spec.seed, k_index)
         for start in range(0, spec.trials, _BATCH):
@@ -411,22 +373,27 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
                 errors, analytic = _batch_sweep(
                     u_batch, x_batch, z_batch * sqrt_d, d, n_x
                 )
-            except np.linalg.LinAlgError:
-                # A rank-deficient draw poisons the whole stacked solve; redo
-                # this batch trial by trial with regeneration.
-                for t in range(start, stop):
-                    trial = run_reference_trial(spec, k_index, t)
-                    regenerations += trial["regenerations"]
-                    trial_errors = {
-                        kind: trial["estimates"][kind] - trial["x_true"]
-                        for kind in ESTIMATOR_KINDS
-                    }
-                    acc.add_batch(k_index, trial_errors, trial["analytic"])
-                continue
-            acc.add_batch(k_index, errors, analytic)
-        if not np.isfinite(acc.totals[k_index, :, [0, 2]]).all():
+            except np.linalg.LinAlgError as exc:
+                raise EstimationError(
+                    f"noise scale k = {k!r}: trials {start} to {stop - 1} include a "
+                    f"rank-deficient convolution matrix ({exc})"
+                ) from exc
+            squared = np.square(np.abs(errors))
+            mse = squared.mean(axis=2)
+            stats = np.concatenate(
+                [
+                    np.stack([mse, np.square(mse), analytic], axis=2),
+                    errors.real,
+                    errors.imag,
+                    squared,
+                ],
+                axis=2,
+            )
+            stats[0] += totals[k_index]
+            totals[k_index] = stats.cumsum(axis=0)[-1]
+        if not np.isfinite(totals[k_index, :, [0, 2]]).all():
             raise EstimationError(f"noise scale k = {k!r} gives a non-finite average MSE")
-    means = acc.totals / float(spec.trials)
+    means = totals / float(spec.trials)
 
     def per_kind(columns):
         return {kind: means[:, i, columns] for i, kind in enumerate(ESTIMATOR_KINDS)}
@@ -452,5 +419,4 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
         },
         elementwise_bias={k: real_bias[k] + 1j * imag_bias[k] for k in ESTIMATOR_KINDS},
         elementwise_mse=per_kind(slice(3 + 2 * n_x, None)),
-        regenerations=regenerations,
     )

@@ -45,6 +45,19 @@ def colored_problem(tmp_path):
     return paths
 
 
+def run_in_fresh_interpreter(argv):
+    """Run the CLI in a new interpreter with warnings shown, capturing text."""
+    src = str(Path(cblue.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-c", "from cblue.cli import run; run()", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
 def estimate_args(paths, method=None):
     argv = [
         "estimate",
@@ -246,6 +259,39 @@ def test_experiment_reports_estimation_failure(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_experiment_reports_singular_batch(tmp_path, capsys, monkeypatch):
+    import cblue.montecarlo as mc
+
+    real_polar_normals = mc._polar_normals
+
+    def zero_inputs(uniforms):
+        """Real draws with every input sequence (n_u = 2 values) set to zero."""
+        values = real_polar_normals(uniforms)
+        values[..., :2] = 0.0
+        return values
+
+    monkeypatch.setattr(mc, "_polar_normals", zero_inputs)
+    config = experiment_config(tmp_path)
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: noise scale k = 0.1: ")
+    assert not out_csv.exists()
+
+
+def test_experiment_matches_pinned_sweep(tmp_path, capsys):
+    # written by `cblue experiment --trials 200 --seed 1`; values, not bytes,
+    # are compared so that another BLAS does not trip the check
+    pinned = Path(__file__).parent / "data" / "sweep-trials200-seed1.csv"
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["experiment", "--output", str(out_csv), "--trials", "200", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert out_csv.read_text().splitlines()[0] == pinned.read_text().splitlines()[0]
+    expected = np.loadtxt(pinned, delimiter=",", skiprows=1)
+    assert expected.shape == (10, 13)
+    assert_allclose(np.loadtxt(out_csv, delimiter=",", skiprows=1), expected, rtol=1e-10, atol=0)
+
+
 def test_experiment_plot_needs_two_k_values(tmp_path, capsys):
     config = experiment_config(tmp_path, k_grid=[1.0])
     out_csv = tmp_path / "sweep.csv"
@@ -271,20 +317,37 @@ def test_experiment_refusal_prints_only_the_error_line(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k_grid": [1e-306], "trials": 2}))
     out_csv = tmp_path / "sweep.csv"
-    src = str(Path(cblue.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-W", "default", "-c", "from cblue.cli import run; run()",
-         "experiment", "--config", str(config), "--output", str(out_csv)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+    done = run_in_fresh_interpreter(
+        ["experiment", "--config", str(config), "--output", str(out_csv)]
     )
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("exponent", [-160, 160, 200])
+def test_estimate_refuses_extreme_scale_with_one_error_line(tmp_path, exponent):
+    # the Gram matrix or the error covariance leaves double range; numpy
+    # warnings and tracebacks must not reach stderr
+    rng = np.random.default_rng(82)
+    h = (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) * 10.0**exponent
+    arrays = {
+        "H": h,
+        "Cnn": np.eye(8),
+        "A": np.ones((1, 4)),
+        "b": np.zeros(1),
+        "y": h @ np.array([1.0, -2.0, 0.5, 0.5]),
+    }
+    paths = {}
+    for name, value in arrays.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_matrix(paths[name], value)
+    done = run_in_fresh_interpreter(estimate_args(paths))
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert done.stdout == ""
 
 
 def test_verify_command_passes(capsys):

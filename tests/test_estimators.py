@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from cblue.errors import (
     DimensionMismatch,
+    EstimationError,
     RankDeficient,
     RankDeficientReducedModel,
     SingularKktSystem,
@@ -351,3 +352,24 @@ def test_estimator_arrays_read_only():
     est = ls(LinearModel(np.eye(2), np.eye(2)))
     with pytest.raises(ValueError):
         est.E[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("exponent", [-160, 160, 200])
+def test_extreme_scales_raise_estimation_error(exponent):
+    # H^H H over- or underflows double precision, or the error covariance
+    # built from its inverse does; neither may surface as a ValueError
+    rng = np.random.default_rng(81)
+    h = (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) * 10.0**exponent
+    model = LinearModel(h, np.eye(8))
+    constraints = ConstraintSet(np.ones((1, 4)), np.zeros(1))
+    builders = [
+        lambda: ls(model),
+        lambda: blue(model),
+        lambda: cls(model, constraints),
+        lambda: cblue(model, constraints),
+        lambda: cblue_direct(model, constraints),
+        lambda: cblue_nullspace(model, parameterize(constraints)),
+    ]
+    for build in builders:
+        with pytest.raises(EstimationError, match="not finite in double precision"):
+            covariance(build(), model.C_nn)

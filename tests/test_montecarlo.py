@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cblue.errors import RankDeficient
+from cblue.errors import EstimationError, RankDeficient
 from cblue.estimators import covariance
 from cblue.model import ConstraintSet, LinearModel
 from cblue.montecarlo import (
@@ -120,7 +120,6 @@ def test_reference_trial_draw_protocol():
     assert np.linalg.norm(x_true) == pytest.approx(1.0, abs=1e-12)
     assert trial["u"].shape == (2,)
     assert trial["y"].shape == (4,)
-    assert trial["regenerations"] == 0
     for kind in ESTIMATOR_KINDS:
         estimate = trial["estimates"][kind]
         assert estimate.shape == (3,)
@@ -210,33 +209,6 @@ def test_experiment_report_shapes_and_consistency():
         )
 
 
-def test_fallback_path_matches_batched_engine(monkeypatch):
-    import cblue.montecarlo as mc
-
-    spec = small_spec(trials=6)
-    batched = run_experiment(spec)
-
-    def forced_failure(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced batch failure")
-
-    monkeypatch.setattr(mc, "_batch_sweep", forced_failure)
-    fallback = run_experiment(spec)
-    for kind in ESTIMATOR_KINDS:
-        assert_allclose(
-            fallback.empirical_mse[kind],
-            batched.empirical_mse[kind],
-            rtol=1e-10,
-            atol=1e-14,
-        )
-        assert_allclose(
-            fallback.analytic_mse[kind],
-            batched.analytic_mse[kind],
-            rtol=1e-10,
-            atol=1e-14,
-        )
-    assert fallback.regenerations == batched.regenerations == 0
-
-
 class ScriptedNormals:
     """Stands in for ``_polar_normals``; hands out queued complex draws.
 
@@ -252,62 +224,39 @@ class ScriptedNormals:
         return drawn
 
 
-def regeneration_spec():
+def two_tap_spec():
     return ExperimentSpec(
         n_x=2, n_u=2, base_noise_diag=(1.0, 0.5, 0.1), k_grid=(1.0,), trials=1
     )
 
 
-def test_degenerate_input_sequence_is_regenerated(monkeypatch):
+def test_reference_trial_refuses_zero_input(monkeypatch):
     import cblue.montecarlo as mc
 
-    # first u is identically zero: every estimator must refuse it, the trial
-    # then redraws u (one regeneration) from its own substream; the trial
-    # block carries u, then alpha = 1 (x = the nullspace basis vector), then
-    # zero noise
-    replacement = ScriptedNormals(
-        [np.concatenate([np.zeros(2), [1.0], np.zeros(3)]), np.array([1.0, 0.0])]
+    # the trial block carries u = 0, then alpha = 1, then zero noise: every
+    # estimator must refuse the all-zero convolution matrix
+    monkeypatch.setattr(
+        mc,
+        "_polar_normals",
+        ScriptedNormals([np.concatenate([np.zeros(2), [1.0], np.zeros(3)])]),
     )
-    monkeypatch.setattr(mc, "_polar_normals", replacement)
-    trial = run_reference_trial(regeneration_spec(), 0, 0)
-    assert trial["regenerations"] == 1
-    assert not replacement.queue
-    # the replacement u is [1, 0]: H is the identity padded with a zero row
-    x = trial["x_true"]
-    assert_allclose(trial["y"], np.concatenate([x, [0.0]]), atol=1e-12)
-    for kind in ESTIMATOR_KINDS:
-        assert np.all(np.isfinite(trial["estimates"][kind]))
-        assert trial["analytic"][kind] > 0
-
-
-def test_regeneration_cap(monkeypatch):
-    import cblue.montecarlo as mc
-
-    zeros_forever = ScriptedNormals(
-        [np.concatenate([np.zeros(2), [1.0], np.zeros(3)])]
-        + [np.zeros(2)] * (mc._MAX_REGENERATIONS + 1)
-    )
-    monkeypatch.setattr(mc, "_polar_normals", zeros_forever)
     with pytest.raises(RankDeficient):
-        run_reference_trial(regeneration_spec(), 0, 0)
+        run_reference_trial(two_tap_spec(), 0, 0)
 
 
 def test_reference_trial_returns_the_input_it_modelled(monkeypatch):
     import cblue.montecarlo as mc
 
-    spec = regeneration_spec()
+    spec = two_tap_spec()
     noise = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j])
-    replacement_u = np.array([0.7 + 0.2j, -0.4 + 1.3j])
+    scripted_u = np.array([0.7 + 0.2j, -0.4 + 1.3j])
     monkeypatch.setattr(
         mc,
         "_polar_normals",
-        ScriptedNormals(
-            [np.concatenate([np.zeros(2), [1.0], noise]), replacement_u]
-        ),
+        ScriptedNormals([np.concatenate([scripted_u, [1.0], noise])]),
     )
     trial = run_reference_trial(spec, 0, 0)
-    assert trial["regenerations"] == 1
-    assert_allclose(trial["u"], replacement_u, atol=0)
+    assert_allclose(trial["u"], scripted_u, atol=0)
     noiseless = trial["y"] - np.sqrt(np.asarray(spec.base_noise_diag)) * noise
     assert_allclose(
         convolution_matrix(trial["u"], spec.n_x) @ trial["x_true"],
@@ -317,7 +266,7 @@ def test_reference_trial_returns_the_input_it_modelled(monkeypatch):
     )
 
 
-def test_experiment_regenerates_degenerate_draw(monkeypatch):
+def test_experiment_refuses_singular_batch(monkeypatch):
     import cblue.montecarlo as mc
 
     spec = small_spec(trials=6)
@@ -335,11 +284,8 @@ def test_experiment_regenerates_degenerate_draw(monkeypatch):
         return values
 
     monkeypatch.setattr(mc, "_polar_normals", zero_first_input)
-    report = run_experiment(spec)
-    assert report.regenerations == 1
-    for kind in ESTIMATOR_KINDS:
-        assert np.all(np.isfinite(report.empirical_mse[kind]))
-        assert np.all(np.isfinite(report.analytic_mse[kind]))
+    with pytest.raises(EstimationError, match=r"k = 0\.1: trials 0 to 5 "):
+        run_experiment(spec)
 
 
 def test_experiment_is_independent_of_batch_size(monkeypatch):
@@ -390,9 +336,9 @@ def test_reference_trial_reproduces_trials_across_a_batch_boundary(monkeypatch, 
                 convolution_matrix(u_b[row], spec.n_x) @ x_b[row] + noise_b[row],
                 rtol=1e-13,
             )
-            for kind in ESTIMATOR_KINDS:
+            for index, kind in enumerate(ESTIMATOR_KINDS):
                 assert_allclose(
-                    trial["estimates"][kind], errors[kind][row] + x_b[row], rtol=1e-10
+                    trial["estimates"][kind], errors[row, index] + x_b[row], rtol=1e-10
                 )
 
 
