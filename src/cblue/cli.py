@@ -69,6 +69,7 @@ def _cmd_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"method = {args.method}")
+    print(f"form = {estimator.label}")
     for index, value in enumerate(x_hat):
         print(f"x_hat[{index}] = ({value.real:.15e}, {value.imag:.15e})")
     residual = float(np.linalg.norm(constraints.A @ x_hat - constraints.b))

@@ -1,26 +1,24 @@
 """Affine estimators for linearly constrained parameters.
 
-All estimators here are affine maps ``x_hat = E @ y + f``.  The unconstrained
-baselines are ordinary least squares (``E = (H^H H)^-1 H^H``) and the best
-linear unbiased estimator (``E = (H^H C^-1 H)^-1 H^H C^-1``).  The constrained
-ones enforce ``A @ x = b`` exactly: constrained least squares, and the
-minimum-variance affine unbiased estimator in two algebraically equivalent
-forms.  The nullspace form works whenever H restricted to the constraint
-nullspace has full column rank, which includes underdetermined models; the
-direct form additionally needs H itself to have full column rank.
+All estimators here are affine maps ``x_hat = E @ y + f``, and each one is
+least squares on a white-noise model matrix: H for least squares, ``L^-1 H``
+for the best linear unbiased estimator (BLUE, with ``C_nn = L @ L^H``), and
+``L^-1 H N`` for the nullspace form of the constrained BLUE, where N spans the
+constraint nullspace.  Constrained least squares and the direct form of the
+constrained BLUE add one shared constraint step that enforces ``A @ x = b``
+exactly.  The nullspace form works whenever ``H N`` has full column rank,
+which includes underdetermined models; the direct form needs H itself to
+have full column rank.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EstimationError,
     NotPositiveDefinite,
     RankDeficient,
     RankDeficientConstraints,
@@ -28,7 +26,17 @@ from .errors import (
     SingularKktSystem,
 )
 from .model import ConstraintSet, LinearModel, NullspaceParam, parameterize
-from .numerics import as_matrix, as_vector, hermitized, hpd_factor, hpd_solve
+from .numerics import (
+    as_matrix,
+    as_vector,
+    half_solve,
+    hermitian_product,
+    hpd_factor,
+    hpd_solve,
+    scaled_asymmetry,
+)
+
+_REDUCED = "reduced measurement matrix H N"
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,71 +87,32 @@ class CovarianceResult:
         c = as_matrix(self.C, "covariance")
         if c.shape[0] != c.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {c.shape}")
-        scale = max(np.linalg.norm(c), 1.0)
-        if np.linalg.norm(c - c.conj().T) > 1e-12 * scale:
+        asymmetry, size, power = scaled_asymmetry(c)
+        scale = max(size, power)
+        if asymmetry > 1e-12 * scale:
             raise ValueError("covariance must be Hermitian")
         diag = c.diagonal().real.copy()
-        if (diag < -1e-12 * scale).any():
+        if (diag * power < -1e-12 * scale).any():
             raise ValueError("covariance diagonal has negative entries")
         diag.flags.writeable = False
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "per_element_variance", diag)
 
 
-def _hermitian_product(what: str, *factors: np.ndarray) -> np.ndarray:
-    """Hermitian part of the product of ``factors``, taken left to right.
-
-    A product that leaves the range of double precision raises
-    ``EstimationError`` naming ``what``, not a numpy warning followed by a
-    ``ValueError`` from the next consumer.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = hermitized(functools.reduce(operator.matmul, factors))
-    if not np.isfinite(product).all():
-        raise EstimationError(f"{what} is not finite in double precision; rescale the problem")
-    return product
-
-
-def _gram_factor(model: LinearModel, weighted: bool):
-    """Factor Q (unweighted) or P (noise-weighted), mapping PD failure to rank."""
-    h = model.H
-    n_y, n_x = h.shape
-    if n_y < n_x:
-        raise RankDeficient(
-            f"measurement matrix cannot reach full column rank: "
-            f"{n_y} measurements for {n_x} parameters"
-        )
-    if weighted:
-        whitened = hpd_solve(model.noise_factor, h)
-        gram = _hermitian_product("noise-weighted Gram matrix", h.conj().T, whitened)
-    else:
-        whitened = None
-        gram = _hermitian_product("Gram matrix", h.conj().T, h)
+def _gram_factor(w: np.ndarray, rank_error=RankDeficient, subject="measurement matrix"):
+    """Factor ``W^H W`` for a white-noise model matrix W, or raise ``rank_error``."""
+    n_rows, n_cols = w.shape
+    if n_rows < n_cols:
+        raise rank_error(f"{subject} has {n_rows} rows, too few for full column rank {n_cols}")
     try:
-        factor = hpd_factor(gram)
+        return hpd_factor(hermitian_product(f"Gram matrix of the {subject}", w.conj().T, w))
     except NotPositiveDefinite as exc:
-        raise RankDeficient(
-            "measurement matrix is numerically rank deficient (not full column rank)"
-        ) from exc
-    return factor, whitened
+        raise rank_error(f"{subject} is numerically rank deficient") from exc
 
 
-def _reduced_gram_factor(model: LinearModel, basis: np.ndarray):
-    """Factor the reduced Gram ``(H N)^H C^-1 (H N)``, mapping PD failure to rank.
-
-    Returns the factor and the whitened reduced matrix ``C^-1 H N``.
-    """
-    reduced = model.H @ basis
-    whitened = hpd_solve(model.noise_factor, reduced)
-    gram = _hermitian_product("reduced Gram matrix", reduced.conj().T, whitened)
-    try:
-        factor = hpd_factor(gram)
-    except NotPositiveDefinite as exc:
-        raise RankDeficientReducedModel(
-            "measurement matrix restricted to the constraint nullspace is "
-            "numerically rank deficient"
-        ) from exc
-    return factor, whitened
+def _unwhitened_adjoint(model: LinearModel, w: np.ndarray) -> np.ndarray:
+    """``W^H @ L^-1`` for a whitened W: solving against it gives ``E = E_w L^-1``."""
+    return half_solve(model.noise_factor, w, adjoint=True).conj().T
 
 
 def _check_parameter_dims(model: LinearModel, constraints: ConstraintSet):
@@ -153,47 +122,47 @@ def _check_parameter_dims(model: LinearModel, constraints: ConstraintSet):
         )
 
 
-def _constrain(e_free: np.ndarray, factor, constraints: ConstraintSet):
-    """Restrict an inverse-Gram-based estimator matrix to the constraint set.
+def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraints: ConstraintSet):
+    """Project the estimator ``(e_free, f_free)`` onto ``A @ x = b`` along ``g = G^-1 A^H``.
 
-    Given ``e_free = G^-1 B`` for a Gram matrix G with Cholesky ``factor``,
-    returns the pair (E, f) of the estimator projected onto ``A @ x = b``
-    obliquely along the G geometry.
+    G is the least-squares Gram matrix, or the identity for plain projection.
     """
     a = constraints.A
-    g = hpd_solve(factor, a.conj().T)
-    s = _hermitian_product("constraint Gram matrix", a, g)
     try:
-        s_factor = hpd_factor(s)
+        s_factor = hpd_factor(hermitian_product("constraint Gram matrix", a, g))
     except NotPositiveDefinite as exc:
-        raise RankDeficient(
-            "constraint matrix loses rank under the model geometry"
+        raise RankDeficientConstraints(
+            "constraint matrix is numerically rank deficient under the estimator geometry"
         ) from exc
     e = e_free - g @ hpd_solve(s_factor, a @ e_free)
-    f = g @ hpd_solve(s_factor, constraints.b)
+    f = f_free - g @ hpd_solve(s_factor, a @ f_free - constraints.b)
     return e, f
+
+
+def _constrained_ls(factor, e_free: np.ndarray, constraints: ConstraintSet):
+    """Constrain ``e_free = G^-1 @ B`` in the geometry of G, given its Cholesky ``factor``."""
+    g = hpd_solve(factor, constraints.A.conj().T)
+    return _constrain(e_free, np.zeros(factor.dim), g, constraints)
 
 
 def ls(model: LinearModel) -> AffineEstimator:
     """Ordinary least squares; needs a full-column-rank measurement matrix."""
-    factor, _ = _gram_factor(model, weighted=False)
-    e = hpd_solve(factor, model.H.conj().T)
+    e = hpd_solve(_gram_factor(model.H), model.H.conj().T)
     return AffineEstimator(E=e, f=np.zeros(model.n_x), label="ls")
 
 
 def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
-    factor, whitened = _gram_factor(model, weighted=True)
-    e = hpd_solve(factor, whitened.conj().T)
+    w = half_solve(model.noise_factor, model.H)
+    e = hpd_solve(_gram_factor(w), _unwhitened_adjoint(model, w))
     return AffineEstimator(E=e, f=np.zeros(model.n_x), label="blue")
 
 
 def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
     """Least squares restricted to the constraint set ``A @ x = b``."""
     _check_parameter_dims(model, constraints)
-    factor, _ = _gram_factor(model, weighted=False)
-    e_free = hpd_solve(factor, model.H.conj().T)
-    e, f = _constrain(e_free, factor, constraints)
+    factor = _gram_factor(model.H)
+    e, f = _constrained_ls(factor, hpd_solve(factor, model.H.conj().T), constraints)
     return AffineEstimator(E=e, f=f, label="cls")
 
 
@@ -201,13 +170,12 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     """Constrained minimum-variance unbiased estimator, full-rank form.
 
     Valid when H has full column rank; use :func:`cblue_nullspace` otherwise.
-    Identical to :func:`cls` with the noise-weighted Gram matrix in place of
-    the plain one.
+    Identical to :func:`cls` on the whitened model ``L^-1 y = L^-1 H x + w``.
     """
     _check_parameter_dims(model, constraints)
-    factor, whitened = _gram_factor(model, weighted=True)
-    e_free = hpd_solve(factor, whitened.conj().T)
-    e, f = _constrain(e_free, factor, constraints)
+    w = half_solve(model.noise_factor, model.H)
+    factor = _gram_factor(w)
+    e, f = _constrained_ls(factor, hpd_solve(factor, _unwhitened_adjoint(model, w)), constraints)
     return AffineEstimator(E=e, f=f, label="cblue_direct")
 
 
@@ -225,8 +193,9 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
             f"nullspace basis has {param.basis.shape[0]} rows, model has "
             f"{h.shape[1]} parameters"
         )
-    factor, whitened = _reduced_gram_factor(model, param.basis)
-    e = param.basis @ hpd_solve(factor, whitened.conj().T)
+    w = half_solve(model.noise_factor, h @ param.basis)
+    factor = _gram_factor(w, RankDeficientReducedModel, _REDUCED)
+    e = param.basis @ hpd_solve(factor, _unwhitened_adjoint(model, w))
     xp = param.particular
     f = xp - e @ (h @ xp)
     return AffineEstimator(E=e, f=f, label="cblue_nullspace")
@@ -272,16 +241,7 @@ def project_onto_constraints(
             f"constraints act on {a.shape[1]} parameters, estimator returns "
             f"{base.E.shape[0]}"
         )
-    try:
-        gram_factor = hpd_factor(
-            _hermitian_product("constraint Gram matrix", a, a.conj().T)
-        )
-    except NotPositiveDefinite as exc:
-        raise RankDeficientConstraints(
-            "constraint matrix is numerically rank deficient"
-        ) from exc
-    e = base.E - a.conj().T @ hpd_solve(gram_factor, a @ base.E)
-    f = base.f - a.conj().T @ hpd_solve(gram_factor, a @ base.f - constraints.b)
+    e, f = _constrain(base.E, base.f, a.conj().T, constraints)
     return AffineEstimator(E=e, f=f, label=base.label + "_projected")
 
 
@@ -294,7 +254,7 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
             f"{est.E.shape}"
         )
     return CovarianceResult(
-        C=_hermitian_product("error covariance", est.E, c, est.E.conj().T)
+        C=hermitian_product("error covariance", est.E, c, est.E.conj().T)
     )
 
 
@@ -308,17 +268,17 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     """
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis
-        factor, _ = _reduced_gram_factor(model, basis)
+        w = half_solve(model.noise_factor, model.H @ basis)
+        factor = _gram_factor(w, RankDeficientReducedModel, _REDUCED)
         return CovarianceResult(
-            C=_hermitian_product("error covariance", basis, hpd_solve(factor, basis.conj().T))
+            C=hermitian_product("error covariance", basis, hpd_solve(factor, basis.conj().T))
         )
     if isinstance(constraints_or_param, ConstraintSet):
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)
-        factor, _ = _gram_factor(model, weighted=True)
-        p_inv = hpd_solve(factor, np.eye(model.n_x))
-        cov, _ = _constrain(p_inv, factor, constraints)
-        return CovarianceResult(C=hermitized(cov))
+        factor = _gram_factor(half_solve(model.noise_factor, model.H))
+        cov, _ = _constrained_ls(factor, hpd_solve(factor, np.eye(model.n_x)), constraints)
+        return CovarianceResult(C=hermitian_product("error covariance", cov))
     raise TypeError(
         "expected a ConstraintSet or NullspaceParam, got "
         f"{type(constraints_or_param).__name__}"

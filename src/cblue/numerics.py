@@ -1,22 +1,26 @@
 """Dense complex linear algebra kernels.
 
 Everything downstream funnels its matrix work through the helpers here:
-Cholesky factorization of Hermitian positive definite matrices, triangular
-solves against such factors, orthonormal nullspace bases, and least-norm
-solutions of underdetermined systems.  All routines accept real input and
-promote it to complex.
+checked Hermitian products, Cholesky factors of Hermitian positive definite
+matrices and triangular solves against them, orthonormal nullspace bases,
+and least-norm solutions of underdetermined systems.  All routines accept
+real input and promote it to complex.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import (
     DimensionMismatch,
     EmptyNullspace,
+    EstimationError,
     NotPositiveDefinite,
     RankDeficientConstraints,
 )
@@ -58,9 +62,36 @@ def hermitized(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def hermitian_product(what: str, *factors: np.ndarray) -> np.ndarray:
+    """Hermitian part of the product of ``factors``, taken left to right.
+
+    A product that leaves the range of double precision raises
+    ``EstimationError`` naming ``what``, not a numpy warning followed by a
+    ``ValueError`` from the next consumer.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = hermitized(functools.reduce(operator.matmul, factors))
+    if not np.isfinite(product).all():
+        raise EstimationError(f"{what} is not finite in double precision; rescale the problem")
+    return product
+
+
+def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
+    """Frobenius norms of ``p (m - m^H)`` and ``p m``, and p, for C-contiguous complex ``m``.
+
+    p, the normal power of 2 nearest ``1 / max|m|``, scales exactly: relative tests on
+    the two norms are tests on ``m``, with sums of squares that cannot overflow.
+    """
+    peak = float(np.abs(m.view(np.float64)).max())
+    power = 2.0 ** -min(max(math.frexp(peak)[1], -1022), 1022)
+    scaled = m * power
+    size = np.linalg.norm(scaled)
+    return np.linalg.norm(np.subtract(scaled, scaled.conj().T, out=scaled)), size, power
+
+
 @dataclass(frozen=True, eq=False)
 class HpdFactor:
-    """Lower-triangular Cholesky factor L with L @ L.conj().T equal to the input."""
+    """Lower-triangular Cholesky factor L, in Fortran order, with L @ L^H equal to the input."""
 
     lower: np.ndarray
 
@@ -87,8 +118,8 @@ def hpd_factor(m) -> HpdFactor:
     n = arr.shape[0]
     if arr.shape[1] != n:
         raise DimensionMismatch(f"hpd matrix must be square, got {arr.shape}")
-    scale = np.linalg.norm(arr)
-    if np.linalg.norm(arr - arr.conj().T) > _HERMITIAN_RTOL * max(scale, np.finfo(float).tiny):
+    asymmetry, size, _ = scaled_asymmetry(arr)
+    if asymmetry > _HERMITIAN_RTOL * size:
         raise NotPositiveDefinite("matrix is not Hermitian to relative tolerance 1e-12")
     try:
         lower = np.linalg.cholesky(arr)
@@ -101,13 +132,13 @@ def hpd_factor(m) -> HpdFactor:
             f"matrix is numerically semidefinite: pivot {pivots.min():.3e} "
             f"at or below threshold {threshold:.3e}"
         )
-    lower = np.ascontiguousarray(lower)
+    lower = np.asfortranarray(lower)
     lower.flags.writeable = False
     return HpdFactor(lower=lower)
 
 
-def hpd_solve(factor: HpdFactor, rhs):
-    """Solve M @ X = rhs given the Cholesky factor of M.
+def half_solve(factor: HpdFactor, rhs, adjoint: bool = False):
+    """Solve ``L @ X = rhs``, or ``L^H @ X = rhs`` if ``adjoint``, for the factor L.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns;
     it is left unchanged.
@@ -119,8 +150,15 @@ def hpd_solve(factor: HpdFactor, rhs):
         raise DimensionMismatch(
             f"right-hand side has {arr.shape[0]} rows, factor dimension is {factor.dim}"
         )
-    half = solve_triangular(factor.lower, arr, lower=True, check_finite=False)
-    return solve_triangular(factor.lower, half, lower=True, trans="C", check_finite=False)
+    solution, info = ztrtrs(factor.lower, arr, lower=1, trans=2 if adjoint else 0)
+    if info:
+        raise NotPositiveDefinite(f"factor has a zero pivot at diagonal {info - 1}")
+    return solution
+
+
+def hpd_solve(factor: HpdFactor, rhs):
+    """Solve M @ X = rhs given the Cholesky factor of M; ``rhs`` as for :func:`half_solve`."""
+    return half_solve(factor, half_solve(factor, rhs), adjoint=True)
 
 
 def default_rank_tol(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
@@ -174,9 +212,8 @@ def least_norm_solution(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side has {rhs.shape[0]} entries, constraint matrix has {arr.shape[0]} rows"
         )
-    gram = hermitized(arr @ arr.conj().T)
     try:
-        factor = hpd_factor(gram)
+        factor = hpd_factor(hermitian_product("constraint Gram matrix", arr, arr.conj().T))
     except NotPositiveDefinite as exc:
         raise RankDeficientConstraints(
             "constraint matrix is numerically rank deficient"

@@ -1,8 +1,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 import cblue.verify
+
+# The same examples on every run, and no example database in the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

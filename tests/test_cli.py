@@ -122,6 +122,24 @@ def test_estimate_underdetermined_needs_nullspace_form(tmp_path, capsys):
     assert main(estimate_args(paths, "cblue-direct")) == 1
 
 
+def test_estimate_names_the_form_used(tmp_path, capsys):
+    # two measurements for three parameters: cblue falls back to the nullspace form
+    paths = {}
+    arrays = {
+        "H": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        "Cnn": np.eye(2),
+        "A": np.ones((1, 3)),
+        "b": np.zeros(1),
+        "y": np.array([1.0, -1.0]),
+    }
+    for name, value in arrays.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_matrix(paths[name], value)
+    assert main(estimate_args(paths, "cblue")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["method = cblue", "form = cblue_nullspace"]
+
+
 def test_estimate_missing_file(colored_problem, tmp_path, capsys):
     colored_problem["y"] = tmp_path / "absent.json"
     assert main(estimate_args(colored_problem)) == 2
@@ -344,6 +362,27 @@ def test_estimate_refuses_extreme_scale_with_one_error_line(tmp_path, exponent):
         paths[name] = tmp_path / f"{name}.json"
         save_matrix(paths[name], value)
     done = run_in_fresh_interpreter(estimate_args(paths))
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert done.stdout == ""
+
+
+def test_estimate_nullspace_refuses_extreme_constraint_scale_with_one_error_line(tmp_path):
+    # A A^H of the zero-sum row times 1e160 overflows while the nullspace
+    # parameterization forms its least-norm particular solution
+    arrays = {
+        "H": np.eye(3),
+        "Cnn": np.eye(3),
+        "A": np.ones((1, 3)) * 1e160,
+        "b": np.zeros(1),
+        "y": np.array([1.0, -2.0, 1.0]),
+    }
+    paths = {}
+    for name, value in arrays.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_matrix(paths[name], value)
+    done = run_in_fresh_interpreter(estimate_args(paths, "cblue-nullspace"))
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr

@@ -1,8 +1,11 @@
 """Property checks for the constrained estimators on randomized instances."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cblue.cli import _build_estimator
 from cblue.estimators import (
     AffineEstimator,
     blue,
@@ -14,6 +17,7 @@ from cblue.estimators import (
     project_onto_constraints,
 )
 from cblue.model import ConstraintSet, LinearModel, parameterize
+from cblue.montecarlo import sample_proper_gaussian
 from cblue.numerics import nullspace_basis
 from cblue.verify import (
     check_basis_invariance,
@@ -169,3 +173,32 @@ def test_estimator_mean_over_noise_matches_truth():
         covariance(est, model.C_nn).per_element_variance.max() / trials
     )
     assert np.linalg.norm(mean_estimate - x_true, ord=np.inf) <= 6 * sigma
+
+
+ALL_METHODS = ("ls", "blue", "cls", "cblue", "cblue-nullspace", "cblue-direct")
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(-200, 200),
+    t=st.integers(-200, 200),
+    overdetermined=st.booleans(),
+)
+def test_estimates_are_exactly_scale_equivariant(seed, s, t, overdetermined):
+    # Scaling H and y by 2^s and C_nn by 2^(2t) is exact, so every estimator
+    # must return the same bits for x_hat, pick the same form, and scale its
+    # per-element variance by exactly 2^(2(t - s)).
+    rng = np.random.default_rng(seed)
+    model, constraints = random_instance(rng, overdetermined=overdetermined, max_n_x=6)
+    y = sample_proper_gaussian(model.n_y, rng)
+    scaled = LinearModel(model.H * 2.0**s, model.C_nn * 2.0 ** (2 * t))
+    methods = ALL_METHODS if overdetermined else ("cblue", "cblue-nullspace")
+    for method in methods:
+        est = _build_estimator(method, model, constraints)
+        est_scaled = _build_estimator(method, scaled, constraints)
+        assert est_scaled.label == est.label, method
+        assert np.array_equal(est_scaled.apply(y * 2.0**s), est.apply(y)), method
+        variance = covariance(est, model.C_nn).per_element_variance
+        variance_scaled = covariance(est_scaled, scaled.C_nn).per_element_variance
+        assert np.array_equal(variance_scaled, variance * 2.0 ** (2 * (t - s))), method

@@ -11,6 +11,7 @@ from cblue.errors import (
 )
 from cblue.estimators import (
     AffineEstimator,
+    CovarianceResult,
     analytic_cblue_covariance,
     blue,
     cblue,
@@ -373,3 +374,11 @@ def test_extreme_scales_raise_estimation_error(exponent):
     for build in builders:
         with pytest.raises(EstimationError, match="not finite in double precision"):
             covariance(build(), model.C_nn)
+
+
+def test_covariance_result_hermitian_check_holds_at_large_scale():
+    # the Frobenius norm of these matrices overflows in their own units
+    with pytest.raises(ValueError, match="Hermitian"):
+        CovarianceResult(np.array([[2.0, 1.0], [0.5, 2.0]]) * 2.0**600)
+    result = CovarianceResult(np.array([[2.0, 1.0], [1.0, 2.0]]) * 2.0**600)
+    assert_allclose(result.per_element_variance, [2.0**601, 2.0**601], rtol=0)

@@ -185,3 +185,10 @@ def test_validate_rejects_parameter_count_mismatch():
     constraints = ConstraintSet(np.ones((1, 5)), np.zeros(1))
     with pytest.raises(DimensionMismatch):
         validate(model, constraints)
+
+
+def test_parameterize_refuses_out_of_range_constraint_gram():
+    # A A^H of the scaled zero-sum row overflows double precision
+    constraints = ConstraintSet(np.ones((1, 3)) * 1e160, np.zeros(1))
+    with pytest.raises(EstimationError, match="not finite in double precision"):
+        parameterize(constraints)

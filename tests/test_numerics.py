@@ -9,6 +9,8 @@ from cblue.errors import (
     RankDeficientConstraints,
 )
 from cblue.numerics import (
+    HpdFactor,
+    half_solve,
     hpd_factor,
     hpd_solve,
     least_norm_solution,
@@ -208,3 +210,35 @@ def test_numerical_rank():
     assert numerical_rank(np.zeros((3, 4))) == 0
     rank_one = np.outer([1.0, 2.0], [3.0, 4.0, 5.0])
     assert numerical_rank(rank_one) == 1
+
+
+def test_half_solve_both_triangles():
+    rng = np.random.default_rng(17)
+    factor = hpd_factor(random_hpd(rng, 4))
+    lower = factor.lower
+    rhs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    assert_allclose(lower @ half_solve(factor, rhs), rhs, atol=1e-12)
+    assert_allclose(lower.conj().T @ half_solve(factor, rhs, adjoint=True), rhs, atol=1e-12)
+
+
+def test_half_solve_refuses_zero_pivot():
+    # hpd_factor never returns such a factor, but HpdFactor can be built by hand
+    factor = HpdFactor(lower=np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(NotPositiveDefinite):
+        hpd_solve(factor, np.ones(2))
+
+
+# Entries near 2^600 square to beyond double range, so a norm taken in the
+# matrix's own units overflows and any relative test against it passes.
+NEAR_HERMITIAN = np.array([[2.0, 1.0], [0.5, 2.0]])
+
+
+def test_hpd_factor_rejects_non_hermitian_at_large_scale():
+    with pytest.raises(NotPositiveDefinite):
+        hpd_factor(NEAR_HERMITIAN * 2.0**600)
+
+
+def test_hpd_factor_accepts_hermitian_at_large_scale():
+    hermitian = np.array([[2.0, 1.0], [1.0, 2.0]])
+    factor = hpd_factor(hermitian * 2.0**600)
+    assert_allclose(factor.lower, hpd_factor(hermitian).lower * 2.0**300, rtol=1e-15)
