@@ -19,24 +19,21 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotPositiveDefinite,
     RankDeficient,
     RankDeficientConstraints,
     RankDeficientReducedModel,
     SingularKktSystem,
 )
-from .model import ConstraintSet, LinearModel, NullspaceParam, parameterize
+from .model import REDUCED, ConstraintSet, LinearModel, NullspaceParam, parameterize
 from .numerics import (
     as_matrix,
     as_vector,
+    gram_factor,
     half_solve,
     hermitian_product,
-    hpd_factor,
     hpd_solve,
     scaled_asymmetry,
 )
-
-_REDUCED = "reduced measurement matrix H N"
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +96,9 @@ class CovarianceResult:
         object.__setattr__(self, "per_element_variance", diag)
 
 
-def _gram_factor(w: np.ndarray, rank_error=RankDeficient, subject="measurement matrix"):
-    """Factor ``W^H W`` for a white-noise model matrix W, or raise ``rank_error``."""
-    n_rows, n_cols = w.shape
-    if n_rows < n_cols:
-        raise rank_error(f"{subject} has {n_rows} rows, too few for full column rank {n_cols}")
-    try:
-        return hpd_factor(hermitian_product(f"Gram matrix of the {subject}", w.conj().T, w))
-    except NotPositiveDefinite as exc:
-        raise rank_error(f"{subject} is numerically rank deficient") from exc
+def _gram_factor(h: np.ndarray):
+    """Factor ``H^H H`` for the unwhitened least-squares estimators, or raise ``RankDeficient``."""
+    return gram_factor(RankDeficient, "measurement matrix", h.conj().T, h)
 
 
 def _unwhitened_adjoint(model: LinearModel, w: np.ndarray) -> np.ndarray:
@@ -128,12 +119,7 @@ def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraint
     G is the least-squares Gram matrix, or the identity for plain projection.
     """
     a = constraints.A
-    try:
-        s_factor = hpd_factor(hermitian_product("constraint Gram matrix", a, g))
-    except NotPositiveDefinite as exc:
-        raise RankDeficientConstraints(
-            "constraint matrix is numerically rank deficient under the estimator geometry"
-        ) from exc
+    s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", a, g)
     e = e_free - g @ hpd_solve(s_factor, a @ e_free)
     f = f_free - g @ hpd_solve(s_factor, a @ f_free - constraints.b)
     return e, f
@@ -153,8 +139,8 @@ def ls(model: LinearModel) -> AffineEstimator:
 
 def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
-    w = half_solve(model.noise_factor, model.H)
-    e = hpd_solve(_gram_factor(w), _unwhitened_adjoint(model, w))
+    w, factor = model.whitened_gram(model.H)
+    e = hpd_solve(factor, _unwhitened_adjoint(model, w))
     return AffineEstimator(E=e, f=np.zeros(model.n_x), label="blue")
 
 
@@ -173,8 +159,7 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     Identical to :func:`cls` on the whitened model ``L^-1 y = L^-1 H x + w``.
     """
     _check_parameter_dims(model, constraints)
-    w = half_solve(model.noise_factor, model.H)
-    factor = _gram_factor(w)
+    w, factor = model.whitened_gram(model.H)
     e, f = _constrained_ls(factor, hpd_solve(factor, _unwhitened_adjoint(model, w)), constraints)
     return AffineEstimator(E=e, f=f, label="cblue_direct")
 
@@ -193,8 +178,7 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
             f"nullspace basis has {param.basis.shape[0]} rows, model has "
             f"{h.shape[1]} parameters"
         )
-    w = half_solve(model.noise_factor, h @ param.basis)
-    factor = _gram_factor(w, RankDeficientReducedModel, _REDUCED)
+    w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
     e = param.basis @ hpd_solve(factor, _unwhitened_adjoint(model, w))
     xp = param.particular
     f = xp - e @ (h @ xp)
@@ -268,15 +252,14 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     """
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis
-        w = half_solve(model.noise_factor, model.H @ basis)
-        factor = _gram_factor(w, RankDeficientReducedModel, _REDUCED)
+        _, factor = model.whitened_gram(model.H @ basis, REDUCED, RankDeficientReducedModel)
         return CovarianceResult(
             C=hermitian_product("error covariance", basis, hpd_solve(factor, basis.conj().T))
         )
     if isinstance(constraints_or_param, ConstraintSet):
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)
-        factor = _gram_factor(half_solve(model.noise_factor, model.H))
+        _, factor = model.whitened_gram(model.H)
         cov, _ = _constrained_ls(factor, hpd_solve(factor, np.eye(model.n_x)), constraints)
         return CovarianceResult(C=hermitian_product("error covariance", cov))
     raise TypeError(

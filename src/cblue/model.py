@@ -13,16 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EstimationError, RankDeficientConstraints
+from .errors import DimensionMismatch, EstimationError, RankDeficient, RankDeficientConstraints
 from .numerics import (
     HpdFactor,
     as_matrix,
     as_vector,
+    gram_factor,
+    half_solve,
     hpd_factor,
     least_norm_solution,
     nullspace_basis,
     numerical_rank,
 )
+
+REDUCED = "reduced measurement matrix H N"
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +62,15 @@ class LinearModel:
     @property
     def n_x(self) -> int:
         return self.H.shape[1]
+
+    def whitened_gram(self, m, subject="measurement matrix", rank_error=RankDeficient):
+        """White-noise matrix ``W = L^-1 m`` and the factor of ``W^H W``, or ``rank_error``.
+
+        A wide ``m`` goes to the rank gate unwhitened: the gate refuses it on
+        its shape alone.
+        """
+        w = m if m.shape[0] < m.shape[1] else half_solve(self.noise_factor, m)
+        return w, gram_factor(rank_error, subject, w.conj().T, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +138,10 @@ class NullspaceParam:
         object.__setattr__(self, "n0", n0)
 
     def point(self, alpha) -> np.ndarray:
-        """Feasible vector for reduced coordinates ``alpha``."""
+        """Feasible vector for reduced coordinates ``alpha`` of any leading shape."""
         alpha = np.asarray(alpha, dtype=np.complex128)
-        return self.particular + self.basis @ alpha
+        # basis @ alpha term by term: a vector does not depend on others mapped with it
+        return self.particular + sum(alpha[..., j, None] * self.basis[:, j] for j in range(self.n0))
 
     def coordinates(self, x) -> np.ndarray:
         """Reduced coordinates of a feasible vector ``x``."""
@@ -147,36 +161,29 @@ class CompatibilityReport:
 def validate(model: LinearModel, constraints: ConstraintSet) -> CompatibilityReport:
     """Check which constrained estimator forms are admissible.
 
-    The direct form needs at least as many measurements as parameters and a
-    full-column-rank measurement matrix.  The nullspace form only needs the
-    measurement matrix restricted to the constraint nullspace to keep full
-    column rank, so it also covers underdetermined models.
+    The direct form needs the whitened measurement matrix ``L^-1 H`` to have
+    full column rank, the nullspace form only ``L^-1 H N`` (N spanning the
+    constraint nullspace), so it also covers underdetermined models.  The
+    estimators' own rank gate decides both, so the report names the form
+    :func:`~cblue.estimators.cblue` uses.
     """
     if constraints.n_x != model.n_x:
         raise DimensionMismatch(
             f"constraints act on {constraints.n_x} parameters, model has {model.n_x}"
         )
     reasons = []
-    direct = True
-    if model.n_y < model.n_x:
-        direct = False
-        reasons.append(
-            f"direct form needs n_y >= n_x, got {model.n_y} measurements for "
-            f"{model.n_x} parameters"
-        )
-    if numerical_rank(model.H) < model.n_x:
-        direct = False
-        reasons.append("measurement matrix is not full column rank")
-    basis = nullspace_basis(constraints.A)
-    reduced_ok = numerical_rank(model.H @ basis) == basis.shape[1]
-    if not reduced_ok:
-        reasons.append(
-            "measurement matrix restricted to the constraint nullspace is not "
-            "full column rank"
-        )
-    return CompatibilityReport(
-        direct_form=direct, nullspace_form=reduced_ok, reasons=tuple(reasons)
-    )
+
+    def admits(m, subject) -> bool:
+        try:
+            model.whitened_gram(m, subject)
+        except RankDeficient as exc:
+            reasons.append(str(exc))
+            return False
+        return True
+
+    direct = admits(model.H, "measurement matrix")
+    reduced = admits(model.H @ nullspace_basis(constraints.A), REDUCED)
+    return CompatibilityReport(direct_form=direct, nullspace_form=reduced, reasons=tuple(reasons))
 
 
 def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:

@@ -104,24 +104,17 @@ def _polar_normals(uniforms: np.ndarray) -> np.ndarray:
     return np.sqrt(-np.log1p(-a)) * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def _nullspace_point(param: NullspaceParam, alpha: np.ndarray) -> np.ndarray:
-    # basis @ alpha for alpha of any leading shape, summed term by term so
-    # that a trial's x does not depend on how many trials are drawn with it.
-    direction = sum(alpha[..., j, None] * param.basis[:, j] for j in range(param.n0))
-    return param.particular + direction
-
-
 def _policy_unit_norm_gaussian(param: NullspaceParam, alpha: np.ndarray) -> np.ndarray:
     # Unit-norm feasible direction; the basis is orthonormal, so the norm is
     # that of alpha, which the polar draws keep positive.  The particular term
     # keeps feasibility for inhomogeneous constraints and vanishes in the
     # zero-sum experiment.
-    return _nullspace_point(param, alpha / np.linalg.norm(alpha, axis=-1, keepdims=True))
+    return param.point(alpha / np.linalg.norm(alpha, axis=-1, keepdims=True))
 
 
 TRUE_X_POLICIES = {
     "unit-norm-gaussian": _policy_unit_norm_gaussian,
-    "gaussian": _nullspace_point,
+    "gaussian": NullspaceParam.point,
 }
 
 
@@ -348,6 +341,10 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     """
     n_x = spec.n_x
     base_diag = np.asarray(spec.base_noise_diag)
+    # The sweep accepts the noise diagonals that LinearModel accepts.  The
+    # pivot gate scales with k, so checking k = 1 covers every level; a failing
+    # diagonal ends the sweep here (test_experiment_reports_estimation_failure).
+    hpd_factor(np.diag(base_diag))
     _, param = _zero_sum_setup(n_x)
     width = _block_width(spec, param)
     # Per-k totals of per-trial statistics, added in trial order: sequential
@@ -359,10 +356,6 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     for k_index, k in enumerate(spec.k_grid):
         d = k * base_diag
         sqrt_d = np.sqrt(d)
-        # The sweep accepts exactly the noise levels that the public
-        # LinearModel accepts; a diagonal that fails its pivot gate ends the
-        # sweep here (test_experiment_reports_estimation_failure).
-        hpd_factor(np.diag(d))
         rng = _trial_rng(spec.seed, k_index)
         for start in range(0, spec.trials, _BATCH):
             stop = min(start + _BATCH, spec.trials)

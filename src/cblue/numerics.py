@@ -101,7 +101,7 @@ class HpdFactor:
 
 
 def hpd_factor(m) -> HpdFactor:
-    """Factor a Hermitian positive definite matrix as L @ L.conj().T.
+    """Factor a Hermitian positive definite matrix from outside the package as L @ L.conj().T.
 
     Parameters
     ----------
@@ -115,18 +115,22 @@ def hpd_factor(m) -> HpdFactor:
         ``dim * eps * max(diag(m))``.
     """
     arr = as_matrix(m, "hpd matrix")
-    n = arr.shape[0]
-    if arr.shape[1] != n:
+    if arr.shape[1] != arr.shape[0]:
         raise DimensionMismatch(f"hpd matrix must be square, got {arr.shape}")
     asymmetry, size, _ = scaled_asymmetry(arr)
     if asymmetry > _HERMITIAN_RTOL * size:
         raise NotPositiveDefinite("matrix is not Hermitian to relative tolerance 1e-12")
+    return _pivot_gated_factor(arr)
+
+
+def _pivot_gated_factor(arr: np.ndarray) -> HpdFactor:
+    """Cholesky factor of a finite, exactly Hermitian ``arr`` under the package's one pivot gate."""
     try:
         lower = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
     pivots = np.square(lower.diagonal().real)
-    threshold = n * _EPS * max(arr.diagonal().real.max(), 0.0)
+    threshold = arr.shape[0] * _EPS * max(arr.diagonal().real.max(), 0.0)
     if (pivots <= threshold).any():
         raise NotPositiveDefinite(
             f"matrix is numerically semidefinite: pivot {pivots.min():.3e} "
@@ -135,6 +139,21 @@ def hpd_factor(m) -> HpdFactor:
     lower = np.asfortranarray(lower)
     lower.flags.writeable = False
     return HpdFactor(lower=lower)
+
+
+def gram_factor(rank_error: type[EstimationError], subject: str, *factors) -> HpdFactor:
+    """Factor the Gram matrix of ``subject``, the product of ``factors``, or raise ``rank_error``.
+
+    The pivot gate of :func:`hpd_factor` decides rank; a last factor with fewer
+    rows than columns cannot give a full-rank product and is refused unformed.
+    """
+    n_rows, n_cols = factors[-1].shape
+    if n_rows < n_cols:
+        raise rank_error(f"{subject} has rank at most {n_rows}, below full rank {n_cols}")
+    try:
+        return _pivot_gated_factor(hermitian_product(f"Gram matrix of the {subject}", *factors))
+    except NotPositiveDefinite as exc:
+        raise rank_error(f"{subject} is numerically rank deficient") from exc
 
 
 def half_solve(factor: HpdFactor, rhs, adjoint: bool = False):
@@ -212,10 +231,5 @@ def least_norm_solution(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side has {rhs.shape[0]} entries, constraint matrix has {arr.shape[0]} rows"
         )
-    try:
-        factor = hpd_factor(hermitian_product("constraint Gram matrix", arr, arr.conj().T))
-    except NotPositiveDefinite as exc:
-        raise RankDeficientConstraints(
-            "constraint matrix is numerically rank deficient"
-        ) from exc
+    factor = gram_factor(RankDeficientConstraints, "constraint matrix", arr, arr.conj().T)
     return arr.conj().T @ hpd_solve(factor, rhs)

@@ -277,6 +277,19 @@ def test_experiment_reports_estimation_failure(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_experiment_reports_underflowing_noise_level(tmp_path, capsys):
+    # the diagonal passes the pivot gate, but k underflows its first variance to 0
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"k_grid": [1e-318], "base_noise_diag": [1e-10] + [1.0] * 9, "trials": 4})
+    )
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: noise scale k = 1e-318 gives a non-finite average MSE"]
+    assert not out_csv.exists()
+
+
 def test_experiment_reports_singular_batch(tmp_path, capsys, monkeypatch):
     import cblue.montecarlo as mc
 

@@ -145,6 +145,25 @@ def test_cls_refuses_underdetermined():
     assert "rank" in str(excinfo.value)
 
 
+def test_cblue_never_whitens_a_wide_matrix(monkeypatch):
+    from cblue.numerics import half_solve
+
+    shapes = []
+
+    def recording_half_solve(factor, rhs, adjoint=False):
+        shapes.append(np.shape(rhs))
+        return half_solve(factor, rhs, adjoint)
+
+    for module in ("cblue.estimators", "cblue.model"):
+        monkeypatch.setattr(f"{module}.half_solve", recording_half_solve)
+    rng = np.random.default_rng(46)
+    for _ in range(5):
+        model, constraints, _ = draw_instance(rng, overdetermined=False)
+        assert model.n_y < model.n_x
+        assert cblue(model, constraints).label == "cblue_nullspace"
+    assert shapes and all(rows >= cols for rows, cols in shapes)
+
+
 def test_cblue_direct_worked_example():
     est = cblue_direct(COLORED_MODEL, ONES_CONSTRAINT)
     assert_allclose(est.apply(Y_COLORED), X_COLORED, atol=1e-12)

@@ -6,8 +6,10 @@ from cblue.errors import (
     DimensionMismatch,
     EstimationError,
     NotPositiveDefinite,
+    RankDeficient,
     RankDeficientConstraints,
 )
+from cblue.estimators import cblue, cblue_direct, cblue_nullspace
 from cblue.model import (
     ConstraintSet,
     LinearModel,
@@ -178,6 +180,45 @@ def test_validate_zero_measurement_matrix():
     assert not report.direct_form
     assert not report.nullspace_form
     assert len(report.reasons) >= 2
+
+
+def _near_rank_deficient_h(s):
+    """8 x 4 H with singular values 1, 1, 1, s."""
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return u @ np.diag([1.0, 1.0, 1.0, s]) @ v.T
+
+
+def _builds(build) -> bool:
+    try:
+        build()
+    except RankDeficient:
+        return False
+    return True
+
+
+_AR1_COVARIANCE = 0.5 ** np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+
+
+@pytest.mark.parametrize(
+    "h, c",
+    [
+        (_near_rank_deficient_h(s), c)
+        for s in (1e-6, 1e-10, 1e-12, 1e-14, 0.0)
+        for c in (np.eye(8), _AR1_COVARIANCE)
+    ]
+    + [(np.random.default_rng(1).standard_normal((3, 4)), np.eye(3))],
+)
+def test_validate_agrees_with_constructors(h, c):
+    model = LinearModel(h, c)
+    constraints = ConstraintSet(np.ones((1, 4)), np.zeros(1))
+    report = validate(model, constraints)
+    assert report.direct_form == _builds(lambda: cblue_direct(model, constraints))
+    assert report.nullspace_form == _builds(
+        lambda: cblue_nullspace(model, parameterize(constraints))
+    )
+    assert (cblue(model, constraints).label == "cblue_nullspace") == (not report.direct_form)
 
 
 def test_validate_rejects_parameter_count_mismatch():
