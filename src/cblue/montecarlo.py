@@ -18,9 +18,9 @@ same amount of stream whatever it draws: a batch of trials is one call to
 the generator, ``run_reference_trial`` skips straight to trial t, and
 reports are reproducible bit for bit and independent of how trials are
 grouped.  ``run_experiment`` solves trials in batches, and a batch whose
-stacked solve finds a singular Gram matrix ends the sweep with an
-``EstimationError``.  ``run_reference_trial`` runs one trial through the
-public estimator API, the path that the batch engine is tested against.
+stacked Cholesky factorization finds a singular Gram matrix ends the sweep
+with an ``EstimationError``.  ``run_reference_trial`` runs one trial through
+the public estimator API, the path that the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ ESTIMATOR_KINDS = ("ls", "ls_meansub", "cls", "blue", "blue_meansub", "cblue")
 
 _DEFAULT_NOISE_DIAG = (1.0, 1.0, 0.5, 0.5, 0.1, 0.1, 0.01, 0.01, 1e-3, 1e-3)
 _DEFAULT_K_GRID = tuple(float(k) for k in np.logspace(-1.0, 0.0, 10))
-_BATCH = 2048
+_BATCH = 512
 # Philox4x64 yields four doubles per counter step; Generator.random returns
 # multiples of 2**-53, so 2**-54 is the midpoint of its lowest cell.
 _DOUBLES_PER_STEP = 4
@@ -281,52 +281,99 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     }
 
 
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverses of stacked lower-triangular matrices by forward substitution.
+
+    Row i of the inverse is ``-(L[i, :i] @ inverse[:i, :i]) / L[i, i]`` left of
+    its diagonal entry ``1 / L[i, i]``.  Each row is one step vectorized over
+    the stack, so the loop runs once per matrix dimension, not once per matrix.
+    """
+    n = lower.shape[-1]
+    diagonal_inverse = 1.0 / np.diagonal(lower, axis1=1, axis2=2)
+    inverse = np.zeros_like(lower)
+    for i in range(n):
+        row = (lower[:, i : i + 1, :i] @ inverse[:, :i, :i])[:, 0]
+        inverse[:, i, :i] = -row * diagonal_inverse[:, i, None]
+        inverse[:, i, i] = diagonal_inverse[:, i]
+    return inverse
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _batch_sweep(u_b, x_b, noise_b, d, n_x):
-    """Vectorized six-estimator sweep over a batch of trials.
+    """Vectorized six-estimator sweep over a batch of trials, in Gram space.
 
-    Specializes the formulas of the public constructors to this experiment:
-    the noise covariance is diagonal, the constraint is a single zero-sum
-    row (so the constraint step is a rank-one update), and its right-hand
-    side is zero (so offsets vanish).  LS and BLUE differ only in their Gram
-    matrix, so one loop over the two families applies the constraint step
-    and the centering to each.  It stays separate from the public constructors
-    because numpy has no stacked triangular solve: routing the batch through
-    stacked Cholesky factors and the shared constraint step made the whole
-    sweep about 17 % slower (numpy 2.4, scipy 1.17, 2-core Xeon).
-    ``test_experiment_matches_reference_path`` holds the two paths together.
+    Specializes the public constructors to this experiment: the noise
+    covariance is diagonal, the constraint is a single zero-sum row (so the
+    constraint step is a rank-one update) and its right-hand side is zero (so
+    offsets vanish).  As in the public layer, each family is least squares on
+    a white-noise model matrix W: ``H`` for LS and ``D^(-1/2) H`` for BLUE.
+    Both are stacked family-major and every Gram ``G = W^H W`` is factored
+    by one stacked Cholesky call; ``G^-1 = L^-H L^-1`` comes from the
+    substituted factor inverse.  With ``g = G^-1 1``, the estimate
+    ``x = G^-1 W^H y_w`` gives the free variant, ``x - mean(x)`` the
+    mean-subtracted one and ``x - g (1^T x) / (1^T g)`` the constrained one.
+    The analytic MSEs follow from trace identities: the BLUE covariance is
+    ``P^-1`` itself, and the LS covariance is ``S = K^H D K`` with
+    ``K = H Q^-1``, the one n_y by n_x product left.
+    ``test_batch_sweep_matches_public_covariance_per_trial`` holds both to
+    the public constructors trial by trial.
 
     Returns the estimation errors, shape ``(B, 6, n_x)``, and the analytic
-    MSEs, shape ``(B, 6)``, in ``ESTIMATOR_KINDS`` order.  A singular Gram
-    matrix raises ``LinAlgError``.  Floating-point warnings are silenced: a
-    noise level that overflows here yields non-finite cells, which
-    ``run_experiment`` refuses.
+    MSEs, shape ``(B, 6)``, in ``ESTIMATOR_KINDS`` order.  A finite Gram
+    matrix that is not numerically positive definite raises ``LinAlgError``.
+    Floating-point warnings are silenced, and a noise level whose Gram
+    matrices leave double range yields non-finite cells unfactored: either
+    way ``run_experiment`` refuses the level.
     """
     n_trials = u_b.shape[0]
     hb = _convolution_matrices(u_b, n_x)
-    hh = hb.conj().transpose(0, 2, 1)
-    w = (1.0 / d)[None, :, None] * hb
-    # One factorization per Gram matrix: each solve also yields G^-1 1 for
-    # the constraint step, from an appended column of ones.
-    ones_col = np.ones((n_trials, n_x, 1), dtype=np.complex128)
-    ls_sol = np.linalg.solve(hh @ hb, np.concatenate([hh, ones_col], axis=2))
-    blue_sol = np.linalg.solve(
-        hh @ w, np.concatenate([w.conj().transpose(0, 2, 1), ones_col], axis=2)
-    )
-    ones_row = np.ones((1, n_x), dtype=np.complex128)
-    centering = np.eye(n_x) - np.full((n_x, n_x), 1.0 / n_x)
     y = (hb @ x_b[:, :, None])[:, :, 0] + noise_b
-    # Indexed (trial, family, variant): the family is LS, then BLUE; the
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    w = np.concatenate([hb, inv_sqrt_d[:, None] * hb])
+    wh = w.conj().transpose(0, 2, 1)
+    gram = wh @ w
+    if not np.isfinite(gram).all():
+        return (
+            np.full((n_trials, 6, n_x), np.nan, dtype=np.complex128),
+            np.full((n_trials, 6), np.nan),
+        )
+    l_inv = _lower_inverse(np.linalg.cholesky(gram))
+    g_inv = l_inv.conj().transpose(0, 2, 1) @ l_inv
+    y_w = np.concatenate([y, inv_sqrt_d * y])
+    x = (g_inv @ (wh @ y_w[:, :, None]))[:, :, 0]
+    g = g_inv.sum(axis=2)
+    ones_g = g.sum(axis=1, keepdims=True).real
+    ones_x = x.sum(axis=1, keepdims=True)
+    # Indexed (family, trial, variant): the family is LS, then BLUE; the
     # variant is free, mean-subtracted, then constrained.
-    errors = np.empty((n_trials, 2, 3, n_x), dtype=np.complex128)
-    analytic = np.empty((n_trials, 2, 3))
-    for family, sol in enumerate((ls_sol, blue_sol)):
-        e_free, g = sol[..., :-1], sol[..., -1:]
-        e_constrained = e_free - g @ ((ones_row @ e_free) / (ones_row @ g))
-        for variant, e in enumerate((e_free, centering @ e_free, e_constrained)):
-            errors[:, family, variant] = (e @ y[:, :, None])[:, :, 0] - x_b
-            analytic[:, family, variant] = (np.square(np.abs(e)) * d).sum(axis=(1, 2)) / n_x
-    return errors.reshape(n_trials, -1, n_x), analytic.reshape(n_trials, -1)
+    estimates = np.stack([x, x - ones_x / n_x, x - g * (ones_x / ones_g)], axis=1)
+    errors = estimates.reshape(2, n_trials, 3, n_x) - x_b[None, :, None, :]
+
+    norm_g = np.square(np.abs(g)).sum(axis=1)
+    q, ones_q, norm_q = g[:n_trials], ones_g[:n_trials, 0], norm_g[:n_trials]
+    ones_p, norm_p = ones_g[n_trials:, 0], norm_g[n_trials:]
+    # LS: S = K^H D K with K = H Q^-1, so 1^T S v = (K 1)^H D (K v), K 1 = H q.
+    k = hb @ g_inv[:n_trials]
+    trace_s = (np.square(np.abs(k)) * d[:, None]).sum(axis=(1, 2))
+    k_ones = (hb @ q[:, :, None])[:, :, 0]
+    ones_s_ones = (np.square(np.abs(k_ones)) * d).sum(axis=1)
+    ones_s_q = (k_ones.conj() * d * (k @ q[:, :, None])[:, :, 0]).sum(axis=1).real
+    # BLUE: the covariance is P^-1, whose trace is the squared norm of L^-1.
+    trace_p = np.square(np.abs(l_inv[n_trials:])).sum(axis=(1, 2))
+    analytic = np.stack(
+        [
+            trace_s,
+            trace_s - ones_s_ones / n_x,
+            trace_s
+            - 2.0 * ones_s_q / ones_q
+            + ones_s_ones * norm_q / np.square(ones_q),
+            trace_p,
+            trace_p - ones_p / n_x,
+            trace_p - norm_p / ones_p,
+        ],
+        axis=1,
+    )
+    return errors.transpose(1, 0, 2, 3).reshape(n_trials, 6, n_x), analytic / n_x
 
 
 def run_experiment(spec: ExperimentSpec) -> MseReport:

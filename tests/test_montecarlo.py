@@ -342,6 +342,50 @@ def test_reference_trial_reproduces_trials_across_a_batch_boundary(monkeypatch, 
                 )
 
 
+@pytest.mark.parametrize("policy", ["unit-norm-gaussian", "gaussian"])
+@pytest.mark.parametrize(
+    "base_noise_diag",
+    [ExperimentSpec().base_noise_diag, tuple(np.logspace(0, -6, 10))],
+    ids=["default-diag", "six-decade-diag"],
+)
+def test_batch_sweep_matches_public_covariance_per_trial(base_noise_diag, policy):
+    import cblue.montecarlo as mc
+
+    spec = ExperimentSpec(
+        base_noise_diag=base_noise_diag,
+        k_grid=(0.5,),
+        trials=16,
+        seed=11,
+        true_x_policy=policy,
+    )
+    _, param = mc._zero_sum_setup(spec.n_x)
+    d = spec.k_grid[0] * np.asarray(spec.base_noise_diag)
+    # All trials in one call, as the sweep batches them, so that a mix-up
+    # between trials or families in the stacked kernel shows.
+    width = mc._block_width(spec, param)
+    blocks = mc._trial_rng(spec.seed, 0).random((spec.trials, width))
+    u_b, x_b, z_b = mc._draw_trial(spec, param, blocks)
+    errors, analytic = mc._batch_sweep(u_b, x_b, z_b * np.sqrt(d), d, spec.n_x)
+    assert errors.shape == (spec.trials, len(ESTIMATOR_KINDS), spec.n_x)
+    assert analytic.shape == (spec.trials, len(ESTIMATOR_KINDS))
+    for trial_index in range(spec.trials):
+        trial = run_reference_trial(spec, 0, trial_index)
+        assert np.array_equal(trial["u"], u_b[trial_index])
+        assert np.array_equal(trial["x_true"], x_b[trial_index])
+        expected = {
+            kind: estimate - trial["x_true"]
+            for kind, estimate in trial["estimates"].items()
+        }
+        scale = max(np.abs(error).max() for error in expected.values())
+        for index, kind in enumerate(ESTIMATOR_KINDS):
+            assert analytic[trial_index, index] == pytest.approx(
+                trial["analytic"][kind], rel=1e-12
+            )
+            assert_allclose(
+                errors[trial_index, index], expected[kind], rtol=0, atol=1e-10 * scale
+            )
+
+
 def test_polar_normals_moments():
     from cblue.montecarlo import _polar_normals
 
