@@ -21,7 +21,7 @@ from .estimators import blue, cblue, cblue_direct, cblue_nullspace, cls, covaria
 from .fileio import FileFormatError
 from .model import ConstraintSet, LinearModel, parameterize
 from .montecarlo import run_experiment
-from .verify import run_suite
+from .verify import SuiteArgumentError, run_suite
 
 _CHART_STYLE = (
     ("ls", "LS", "#c1121f", "2 4"),
@@ -32,42 +32,31 @@ _CHART_STYLE = (
     ("cblue", "Constrained BLUE", "#1f4ac1", None),
 )
 
+_METHODS = {
+    "ls": lambda model, constraints: ls(model),
+    "blue": lambda model, constraints: blue(model),
+    "cls": cls,
+    "cblue": cblue,
+    "cblue-nullspace": lambda model, constraints: cblue_nullspace(model, parameterize(constraints)),
+    "cblue-direct": cblue_direct,
+}
+
 
 def _build_estimator(method: str, model: LinearModel, constraints: ConstraintSet):
-    if method == "ls":
-        return ls(model)
-    if method == "blue":
-        return blue(model)
-    if method == "cls":
-        return cls(model, constraints)
-    if method == "cblue":
-        return cblue(model, constraints)
-    if method == "cblue-nullspace":
-        return cblue_nullspace(model, parameterize(constraints))
-    if method == "cblue-direct":
-        return cblue_direct(model, constraints)
-    raise ValueError(f"unknown method {method!r}")
+    return _METHODS[method](model, constraints)
 
 
 def _cmd_estimate(args) -> int:
-    try:
-        h = fileio.load_matrix(args.H)
-        c_nn = fileio.load_matrix(args.Cnn)
-        a = fileio.load_matrix(args.A)
-        b = fileio.load_vector(args.b)
-        y = fileio.load_vector(args.y)
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = LinearModel(h, c_nn)
-        constraints = ConstraintSet(a, b)
-        estimator = _build_estimator(args.method, model, constraints)
-        x_hat = estimator.apply(y)
-        variances = covariance(estimator, model.C_nn).per_element_variance
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    h = fileio.load_matrix(args.H)
+    c_nn = fileio.load_matrix(args.Cnn)
+    a = fileio.load_matrix(args.A)
+    b = fileio.load_vector(args.b)
+    y = fileio.load_vector(args.y)
+    model = LinearModel(h, c_nn)
+    constraints = ConstraintSet(a, b)
+    estimator = _build_estimator(args.method, model, constraints)
+    x_hat = estimator.apply(y)
+    variances = covariance(estimator, model.C_nn).per_element_variance
     print(f"method = {args.method}")
     print(f"form = {estimator.label}")
     for index, value in enumerate(x_hat):
@@ -81,44 +70,31 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = {}
-    try:
-        if args.config is not None:
-            config = fileio.load_experiment_config(args.config)
-        if args.trials is not None:
-            config["trials"] = args.trials
-        if args.seed is not None:
-            config["seed"] = args.seed
-        spec = fileio.spec_from_config(config)
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.config is not None:
+        config = fileio.load_experiment_config(args.config)
+    if args.trials is not None:
+        config["trials"] = args.trials
+    if args.seed is not None:
+        config["seed"] = args.seed
+    spec = fileio.spec_from_config(config)
     if args.plot and len(spec.k_grid) < 2:
-        print("error: --plot needs at least two k_grid values", file=sys.stderr)
-        return 2
-    try:
-        report = run_experiment(spec)
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        fileio.write_mse_csv(args.output, report)
-        if args.plot:
-            chart_path = str(Path(args.output).with_suffix(".svg"))
-            curves = [
-                svgchart.Curve(label, color, dash, report.empirical_mse[kind])
-                for kind, label, color, dash in _CHART_STYLE
-            ]
-            svgchart.write_loglog_chart(
-                chart_path,
-                report.k_grid,
-                curves,
-                x_label="noise scale k",
-                y_label="average MSE",
-            )
-            print(f"chart written to {chart_path}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise FileFormatError("--plot needs at least two k_grid values")
+    report = run_experiment(spec)
+    fileio.write_mse_csv(args.output, report)
+    if args.plot:
+        chart_path = str(Path(args.output).with_suffix(".svg"))
+        curves = [
+            svgchart.Curve(label, color, dash, report.empirical_mse[kind])
+            for kind, label, color, dash in _CHART_STYLE
+        ]
+        svgchart.write_loglog_chart(
+            chart_path,
+            report.k_grid,
+            curves,
+            x_label="noise scale k",
+            y_label="average MSE",
+        )
+        print(f"chart written to {chart_path}")
     print(
         f"report written to {args.output}: {len(report.k_grid)} k values, "
         f"{report.trials} trials each"
@@ -158,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument(
         "--method",
         default="cblue",
-        choices=["ls", "blue", "cls", "cblue", "cblue-nullspace", "cblue-direct"],
+        choices=_METHODS,
         help="estimator to apply (default: cblue)",
     )
     estimate.set_defaults(func=_cmd_estimate)
@@ -186,7 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (EstimationError, FileFormatError, OSError, SuiteArgumentError) as exc:
+        # a failed estimation exits 1; unusable input, files or arguments exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, EstimationError) else 2
 
 
 def run() -> None:

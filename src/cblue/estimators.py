@@ -24,7 +24,14 @@ from .errors import (
     RankDeficientReducedModel,
     SingularKktSystem,
 )
-from .model import REDUCED, ConstraintSet, LinearModel, NullspaceParam, parameterize
+from .model import (
+    REDUCED,
+    ConstraintSet,
+    LinearModel,
+    NullspaceParam,
+    _check_parameter_dims,
+    parameterize,
+)
 from .numerics import (
     as_matrix,
     as_vector,
@@ -104,13 +111,6 @@ def _gram_factor(h: np.ndarray):
 def _unwhitened_adjoint(model: LinearModel, w: np.ndarray) -> np.ndarray:
     """``W^H @ L^-1`` for a whitened W: solving against it gives ``E = E_w L^-1``."""
     return half_solve(model.noise_factor, w, adjoint=True).conj().T
-
-
-def _check_parameter_dims(model: LinearModel, constraints: ConstraintSet):
-    if constraints.n_x != model.n_x:
-        raise DimensionMismatch(
-            f"constraints act on {constraints.n_x} parameters, model has {model.n_x}"
-        )
 
 
 def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraints: ConstraintSet):

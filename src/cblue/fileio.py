@@ -8,6 +8,7 @@ are written as CSV with a fixed column schema.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 
@@ -21,15 +22,7 @@ class FileFormatError(Exception):
 
 
 _MATRIX_KEYS = {"rows", "cols", "data"}
-_CONFIG_KEYS = {
-    "n_x",
-    "n_u",
-    "base_noise_diag",
-    "k_grid",
-    "trials",
-    "seed",
-    "true_x_policy",
-}
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(ExperimentSpec)}
 
 CSV_HEADER = (
     "k,"

@@ -149,6 +149,13 @@ class NullspaceParam:
         return self.basis.conj().T @ (x - self.particular)
 
 
+def _check_parameter_dims(model: LinearModel, constraints: ConstraintSet):
+    if constraints.n_x != model.n_x:
+        raise DimensionMismatch(
+            f"constraints act on {constraints.n_x} parameters, model has {model.n_x}"
+        )
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Which estimator forms a model/constraint pair admits."""
@@ -167,10 +174,7 @@ def validate(model: LinearModel, constraints: ConstraintSet) -> CompatibilityRep
     estimators' own rank gate decides both, so the report names the form
     :func:`~cblue.estimators.cblue` uses.
     """
-    if constraints.n_x != model.n_x:
-        raise DimensionMismatch(
-            f"constraints act on {constraints.n_x} parameters, model has {model.n_x}"
-        )
+    _check_parameter_dims(model, constraints)
     reasons = []
 
     def admits(m, subject) -> bool:

@@ -180,21 +180,18 @@ def hpd_solve(factor: HpdFactor, rhs):
     return half_solve(factor, half_solve(factor, rhs), adjoint=True)
 
 
-def default_rank_tol(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
-    """Rank cutoff ``max(shape) * eps * sigma_max`` used throughout the package."""
-    largest = float(singular_values[0]) if singular_values.size else 0.0
-    return max(shape) * _EPS * largest
+def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of singular values above ``max(shape) * eps * sigma_max``, the package's rank rule."""
+    return int((singular_values > max(shape) * _EPS * float(singular_values[0])).sum())
 
 
-def numerical_rank(m, rank_tol: float | None = None) -> int:
+def numerical_rank(m) -> int:
     """Numerical rank of ``m`` by singular value thresholding."""
     arr = as_matrix(m, "matrix")
-    s = np.linalg.svd(arr, compute_uv=False)
-    tol = default_rank_tol(s, arr.shape) if rank_tol is None else float(rank_tol)
-    return int((s > tol).sum())
+    return _rank(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
-def nullspace_basis(a, rank_tol: float | None = None) -> np.ndarray:
+def nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis for the nullspace of a full-row-rank matrix.
 
     Returns an ``n_cols x (n_cols - n_rows)`` matrix N with orthonormal
@@ -210,8 +207,7 @@ def nullspace_basis(a, rank_tol: float | None = None) -> np.ndarray:
     arr = as_matrix(a, "constraint matrix")
     n_rows, n_cols = arr.shape
     _, s, vh = np.linalg.svd(arr)
-    tol = default_rank_tol(s, arr.shape) if rank_tol is None else float(rank_tol)
-    rank = int((s > tol).sum())
+    rank = _rank(s, arr.shape)
     if rank < n_rows:
         raise RankDeficientConstraints(
             f"constraint matrix has numerical rank {rank}, expected full row rank {n_rows}"

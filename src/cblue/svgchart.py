@@ -36,7 +36,28 @@ def _decade_range(values) -> tuple[int, int]:
     return lo, hi
 
 
-def write_loglog_chart(path, x_values, curves, *, x_label, y_label, title=None):
+def _decade_grid(lo, hi, position, span, place) -> list[str]:
+    """Lines and labels of the decades ``lo`` to ``hi`` along one axis.
+
+    Each decade gives its major line and label, then, except after the last,
+    minor lines at 2 to 9 times the decade.  ``span(at)`` and ``place(at)``
+    give the position attributes of a line and a label at pixel ``at``.
+    """
+
+    def line(value, color):
+        return f'<line {span(position(value))} stroke="{color}" stroke-width="1"/>'
+
+    parts = []
+    for exponent in range(lo, hi + 1):
+        decade = 10.0**exponent
+        parts.append(line(decade, "#c8c8c8"))
+        parts.append(f"<text {place(position(decade))}>1e{exponent}</text>")
+        if exponent < hi:
+            parts.extend(line(mantissa * decade, "#ececec") for mantissa in range(2, 10))
+    return parts
+
+
+def write_loglog_chart(path, x_values, curves, *, x_label, y_label):
     """Write a log-log line chart of one or more positive-valued curves."""
     x = np.asarray(x_values, dtype=float)
     if x.size < 2:
@@ -67,42 +88,20 @@ def write_loglog_chart(path, x_values, curves, *, x_label, y_label, title=None):
     ]
     bottom = _MARGIN_TOP + plot_h
     right = _MARGIN_LEFT + plot_w
-    for exponent in range(x_lo, x_hi + 1):
-        decade = 10.0**exponent
-        major_x = px(decade)
-        parts.append(
-            f'<line x1="{major_x:.2f}" y1="{_MARGIN_TOP}" x2="{major_x:.2f}" '
-            f'y2="{bottom}" stroke="#c8c8c8" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{major_x:.2f}" y="{bottom + 18}" text-anchor="middle">'
-            f"1e{exponent}</text>"
-        )
-        if exponent < x_hi:
-            for mantissa in range(2, 10):
-                minor_x = px(mantissa * decade)
-                parts.append(
-                    f'<line x1="{minor_x:.2f}" y1="{_MARGIN_TOP}" x2="{minor_x:.2f}" '
-                    f'y2="{bottom}" stroke="#ececec" stroke-width="1"/>'
-                )
-    for exponent in range(y_lo, y_hi + 1):
-        decade = 10.0**exponent
-        major_y = py(decade)
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{major_y:.2f}" x2="{right}" '
-            f'y2="{major_y:.2f}" stroke="#c8c8c8" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{major_y + 4:.2f}" text-anchor="end">'
-            f"1e{exponent}</text>"
-        )
-        if exponent < y_hi:
-            for mantissa in range(2, 10):
-                minor_y = py(mantissa * decade)
-                parts.append(
-                    f'<line x1="{_MARGIN_LEFT}" y1="{minor_y:.2f}" x2="{right}" '
-                    f'y2="{minor_y:.2f}" stroke="#ececec" stroke-width="1"/>'
-                )
+    parts += _decade_grid(
+        x_lo,
+        x_hi,
+        px,
+        lambda at: f'x1="{at:.2f}" y1="{_MARGIN_TOP}" x2="{at:.2f}" y2="{bottom}"',
+        lambda at: f'x="{at:.2f}" y="{bottom + 18}" text-anchor="middle"',
+    )
+    parts += _decade_grid(
+        y_lo,
+        y_hi,
+        py,
+        lambda at: f'x1="{_MARGIN_LEFT}" y1="{at:.2f}" x2="{right}" y2="{at:.2f}"',
+        lambda at: f'x="{_MARGIN_LEFT - 8}" y="{at + 4:.2f}" text-anchor="end"',
+    )
     parts.append(
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>'
@@ -136,11 +135,6 @@ def write_loglog_chart(path, x_values, curves, *, x_label, y_label, title=None):
         f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.2f})">{y_label}</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(parts))

@@ -1,13 +1,19 @@
 """Randomized self-verification of the estimator algebra.
 
-Each property draws a fresh set of random admissible problem instances and
-reports the worst residual it saw against a fixed tolerance.  The command
-line front end prints one line per property; the test suite reuses the same
-functions with its own instance counts.
+Every property follows one instance protocol, kept in :func:`_property`: it
+draws ``instances`` random admissible problems with :func:`random_instance`
+(every third one underdetermined, for the properties that also hold there),
+computes the property's residuals on each problem, and reports the worst
+residual against a fixed tolerance.  :func:`run_suite` gives each property
+its own substream of the master seed, chosen by its position in the suite.
+The command line front end prints one line per property; the test suite
+reuses the same functions with its own instance counts.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +30,7 @@ from .estimators import (
     project_onto_constraints,
 )
 from .errors import EstimationError
-from .model import ConstraintSet, LinearModel, parameterize
+from .model import ConstraintSet, LinearModel, NullspaceParam, parameterize
 from .montecarlo import sample_proper_gaussian
 from .numerics import hermitized
 
@@ -88,60 +94,73 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * phases.conj()[None, :]
 
 
-def check_constraint_satisfaction(rng, instances: int) -> PropertyResult:
+def _property(name: str, tol: float, mixed: bool = False):
+    """Make a ``check(rng, instances)`` from a generator of one instance's residuals.
+
+    With ``mixed``, every third instance is underdetermined.
+    """
+
+    def decorate(residuals):
+        @functools.wraps(residuals)
+        def check(rng, instances: int) -> PropertyResult:
+            worst = 0.0
+            for index in range(instances):
+                overdetermined = not mixed or index % 3 != 2
+                model, constraints = random_instance(rng, overdetermined=overdetermined)
+                for residual in residuals(rng, model, constraints):
+                    worst = max(worst, residual)
+            return PropertyResult(name, worst, tol, instances)
+
+        return check
+
+    return decorate
+
+
+@_property("constraint-satisfaction", 1e-9, mixed=True)
+def check_constraint_satisfaction(rng, model, constraints):
     """Constrained estimates satisfy ``A @ x_hat = b`` on random inputs."""
-    worst = 0.0
-    for index in range(instances):
-        model, constraints = random_instance(rng, overdetermined=index % 3 != 2)
-        param = parameterize(constraints)
-        ests = [cblue_nullspace(model, param)]
-        if model.n_y >= model.n_x:
-            ests.append(cls(model, constraints))
-            ests.append(cblue_direct(model, constraints))
-            ests.append(project_onto_constraints(blue(model), constraints))
-        y = sample_proper_gaussian(model.n_y, rng, size=20).T
-        a, b = constraints.A, constraints.b
-        for est in ests:
-            x_hat = est.apply(y)
-            residual = np.abs(a @ x_hat - b[:, None]).max(initial=0.0)
-            scale = (
-                np.linalg.norm(a) * np.abs(x_hat).max(initial=0.0)
-                + np.linalg.norm(b)
-                + _TINY
-            )
-            worst = max(worst, residual / scale)
-    return PropertyResult("constraint-satisfaction", worst, 1e-9, instances)
+    param = parameterize(constraints)
+    ests = [cblue_nullspace(model, param)]
+    if model.n_y >= model.n_x:
+        ests.append(cls(model, constraints))
+        ests.append(cblue_direct(model, constraints))
+        ests.append(project_onto_constraints(blue(model), constraints))
+    y = sample_proper_gaussian(model.n_y, rng, size=20).T
+    a, b = constraints.A, constraints.b
+    for est in ests:
+        x_hat = est.apply(y)
+        residual = np.abs(a @ x_hat - b[:, None]).max(initial=0.0)
+        scale = (
+            np.linalg.norm(a) * np.abs(x_hat).max(initial=0.0)
+            + np.linalg.norm(b)
+            + _TINY
+        )
+        yield residual / scale
 
 
-def check_feasible_unbiasedness(rng, instances: int) -> PropertyResult:
+@_property("feasible-unbiasedness", 1e-9, mixed=True)
+def check_feasible_unbiasedness(rng, model, constraints):
     """``E @ H @ N = N`` and ``f = (I - E H) x_p`` for both constrained forms."""
-    worst = 0.0
-    for index in range(instances):
-        model, constraints = random_instance(rng, overdetermined=index % 3 != 2)
-        param = parameterize(constraints)
-        ests = [cblue_nullspace(model, param)]
-        if model.n_y >= model.n_x:
-            ests.append(cblue_direct(model, constraints))
-        basis, xp = param.basis, param.particular
-        hn = model.H @ basis
-        for est in ests:
-            worst = max(worst, _rel(est.E @ hn - basis, basis))
-            offset_target = xp - est.E @ (model.H @ xp)
-            gap = np.linalg.norm(est.f - offset_target)
-            worst = max(worst, gap / (1.0 + np.linalg.norm(xp)))
-    return PropertyResult("feasible-unbiasedness", worst, 1e-9, instances)
+    param = parameterize(constraints)
+    ests = [cblue_nullspace(model, param)]
+    if model.n_y >= model.n_x:
+        ests.append(cblue_direct(model, constraints))
+    basis, xp = param.basis, param.particular
+    hn = model.H @ basis
+    for est in ests:
+        yield _rel(est.E @ hn - basis, basis)
+        offset_target = xp - est.E @ (model.H @ xp)
+        gap = np.linalg.norm(est.f - offset_target)
+        yield gap / (1.0 + np.linalg.norm(xp))
 
 
-def check_covariance_formula_agreement(rng, instances: int) -> PropertyResult:
+@_property("covariance-formula-agreement", 1e-9)
+def check_covariance_formula_agreement(rng, model, constraints):
     """Nullspace and full-rank covariance formulas give the same matrix."""
-    worst = 0.0
-    for _ in range(instances):
-        model, constraints = random_instance(rng)
-        param = parameterize(constraints)
-        via_nullspace = analytic_cblue_covariance(model, param).C
-        via_direct = analytic_cblue_covariance(model, constraints).C
-        worst = max(worst, _rel(via_nullspace - via_direct, via_direct))
-    return PropertyResult("covariance-formula-agreement", worst, 1e-9, instances)
+    param = parameterize(constraints)
+    via_nullspace = analytic_cblue_covariance(model, param).C
+    via_direct = analytic_cblue_covariance(model, constraints).C
+    yield _rel(via_nullspace - via_direct, via_direct)
 
 
 def projection_identity_residual(model, constraints, param) -> float:
@@ -163,114 +182,81 @@ def projection_identity_residual(model, constraints, param) -> float:
     return _rel(t - projected, t)
 
 
-def check_projection_identity(rng, instances: int) -> PropertyResult:
-    worst = 0.0
-    for index in range(instances):
-        model, constraints = random_instance(rng, overdetermined=index % 3 != 2)
-        param = parameterize(constraints)
-        worst = max(worst, projection_identity_residual(model, constraints, param))
-    return PropertyResult("projection-identity", worst, 1e-9, instances)
+@_property("projection-identity", 1e-9, mixed=True)
+def check_projection_identity(rng, model, constraints):
+    yield projection_identity_residual(model, constraints, parameterize(constraints))
 
 
-def check_form_equivalence(rng, instances: int) -> PropertyResult:
+@_property("form-equivalence", 1e-8)
+def check_form_equivalence(rng, model, constraints):
     """Direct and nullspace constrained estimates agree on random inputs."""
-    worst = 0.0
-    for _ in range(instances):
-        model, constraints = random_instance(rng)
-        param = parameterize(constraints)
-        direct = cblue_direct(model, constraints)
-        reduced = cblue_nullspace(model, param)
-        y = sample_proper_gaussian(model.n_y, rng, size=20).T
-        worst = max(worst, _rel(direct.apply(y) - reduced.apply(y), reduced.apply(y)))
-    return PropertyResult("form-equivalence", worst, 1e-8, instances)
+    param = parameterize(constraints)
+    direct = cblue_direct(model, constraints)
+    reduced = cblue_nullspace(model, param)
+    y = sample_proper_gaussian(model.n_y, rng, size=20).T
+    yield _rel(direct.apply(y) - reduced.apply(y), reduced.apply(y))
 
 
-def check_particular_invariance(rng, instances: int) -> PropertyResult:
+@_property("particular-solution-invariance", 1e-9, mixed=True)
+def check_particular_invariance(rng, model, constraints):
     """The constrained estimate is independent of the particular solution."""
-    worst = 0.0
-    for index in range(instances):
-        model, constraints = random_instance(rng, overdetermined=index % 3 != 2)
-        param = parameterize(constraints)
-        shift = param.basis @ sample_proper_gaussian(param.n0, rng)
-        moved = parameterize(constraints, particular=param.particular + shift)
-        first = cblue_nullspace(model, param)
-        second = cblue_nullspace(model, moved)
-        y = sample_proper_gaussian(model.n_y, rng, size=20).T
-        worst = max(worst, _rel(first.apply(y) - second.apply(y), first.apply(y)))
-    return PropertyResult("particular-solution-invariance", worst, 1e-9, instances)
+    param = parameterize(constraints)
+    shift = param.basis @ sample_proper_gaussian(param.n0, rng)
+    moved = parameterize(constraints, particular=param.particular + shift)
+    first = cblue_nullspace(model, param)
+    second = cblue_nullspace(model, moved)
+    y = sample_proper_gaussian(model.n_y, rng, size=20).T
+    yield _rel(first.apply(y) - second.apply(y), first.apply(y))
 
 
-def check_basis_invariance(rng, instances: int) -> PropertyResult:
+@_property("basis-invariance", 1e-9, mixed=True)
+def check_basis_invariance(rng, model, constraints):
     """The constrained estimate is independent of the nullspace basis choice."""
-    from .model import NullspaceParam
-
-    worst = 0.0
-    for index in range(instances):
-        model, constraints = random_instance(rng, overdetermined=index % 3 != 2)
-        param = parameterize(constraints)
-        rotation = random_unitary(rng, param.n0)
-        rotated = NullspaceParam(
-            basis=param.basis @ rotation, particular=param.particular
-        )
-        first = cblue_nullspace(model, param)
-        second = cblue_nullspace(model, rotated)
-        y = sample_proper_gaussian(model.n_y, rng, size=20).T
-        worst = max(worst, _rel(first.apply(y) - second.apply(y), first.apply(y)))
-    return PropertyResult("basis-invariance", worst, 1e-9, instances)
+    param = parameterize(constraints)
+    rotation = random_unitary(rng, param.n0)
+    rotated = NullspaceParam(basis=param.basis @ rotation, particular=param.particular)
+    first = cblue_nullspace(model, param)
+    second = cblue_nullspace(model, rotated)
+    y = sample_proper_gaussian(model.n_y, rng, size=20).T
+    yield _rel(first.apply(y) - second.apply(y), first.apply(y))
 
 
-def check_white_noise_reduction(rng, instances: int) -> PropertyResult:
+@_property("white-noise-reduction", 1e-10)
+def check_white_noise_reduction(rng, model, constraints):
     """With white noise the constrained estimators coincide: cblue equals cls."""
-    worst = 0.0
-    for _ in range(instances):
-        model, constraints = random_instance(rng)
-        sigma2 = float(10.0 ** rng.integers(-1, 2))
-        white = LinearModel(model.H, sigma2 * np.eye(model.n_y))
-        reference = cls(white, constraints)
-        candidate = cblue_direct(white, constraints)
-        worst = max(worst, _rel(candidate.E - reference.E, reference.E))
-        worst = max(
-            worst,
-            np.linalg.norm(candidate.f - reference.f)
-            / max(np.linalg.norm(reference.f), 1.0),
-        )
-    return PropertyResult("white-noise-reduction", worst, 1e-10, instances)
+    sigma2 = float(10.0 ** rng.integers(-1, 2))
+    white = LinearModel(model.H, sigma2 * np.eye(model.n_y))
+    reference = cls(white, constraints)
+    candidate = cblue_direct(white, constraints)
+    yield _rel(candidate.E - reference.E, reference.E)
+    yield np.linalg.norm(candidate.f - reference.f) / max(np.linalg.norm(reference.f), 1.0)
 
 
-def check_oracle_agreement(rng, instances: int) -> PropertyResult:
+@_property("oracle-agreement", 1e-8)
+def check_oracle_agreement(rng, model, constraints):
     """Both constrained forms match the augmented-system solver."""
-    worst = 0.0
-    for _ in range(instances):
-        model, constraints = random_instance(rng)
-        param = parameterize(constraints)
-        direct = cblue_direct(model, constraints)
-        reduced = cblue_nullspace(model, param)
-        for _ in range(3):
-            y = sample_proper_gaussian(model.n_y, rng)
-            reference = kkt_oracle(model, constraints, y)
-            worst = max(worst, _rel(direct.apply(y) - reference, reference))
-            worst = max(worst, _rel(reduced.apply(y) - reference, reference))
-    return PropertyResult("oracle-agreement", worst, 1e-8, instances)
+    param = parameterize(constraints)
+    direct = cblue_direct(model, constraints)
+    reduced = cblue_nullspace(model, param)
+    for _ in range(3):
+        y = sample_proper_gaussian(model.n_y, rng)
+        reference = kkt_oracle(model, constraints, y)
+        yield _rel(direct.apply(y) - reference, reference)
+        yield _rel(reduced.apply(y) - reference, reference)
 
 
-def check_variance_optimality(rng, instances: int) -> PropertyResult:
+@_property("variance-optimality", 1e-10)
+def check_variance_optimality(rng, model, constraints):
     """No tested unbiased constrained competitor beats cblue per element."""
-    worst = 0.0
-    for _ in range(instances):
-        model, constraints = random_instance(rng)
-        param = parameterize(constraints)
-        best = covariance(
-            cblue_direct(model, constraints), model.C_nn
-        ).per_element_variance
-        competitors = [
-            cls(model, constraints),
-            project_onto_constraints(blue(model), constraints),
-        ]
-        for competitor in competitors:
-            other = covariance(competitor, model.C_nn).per_element_variance
-            excess = float((best - other).max(initial=0.0))
-            worst = max(worst, excess / max(float(other.max(initial=0.0)), _TINY))
-    return PropertyResult("variance-optimality", worst, 1e-10, instances)
+    best = covariance(cblue_direct(model, constraints), model.C_nn).per_element_variance
+    competitors = [
+        cls(model, constraints),
+        project_onto_constraints(blue(model), constraints),
+    ]
+    for competitor in competitors:
+        other = covariance(competitor, model.C_nn).per_element_variance
+        excess = float((best - other).max(initial=0.0))
+        yield excess / max(float(other.max(initial=0.0)), _TINY)
 
 
 _SUITE: tuple[Callable, ...] = (
@@ -287,8 +273,25 @@ _SUITE: tuple[Callable, ...] = (
 )
 
 
+class SuiteArgumentError(ValueError):
+    """:func:`run_suite` was asked for no instances or given an unusable seed."""
+
+
 def run_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
-    """Run every verification property on its own deterministic substream."""
+    """Run every verification property on its own deterministic substream.
+
+    Raises
+    ------
+    SuiteArgumentError
+        Before any draw, unless ``instances`` is a positive integer and
+        ``seed`` an integer in ``[0, 2**64)``.
+    """
+    if not isinstance(instances, numbers.Integral) or instances < 1:
+        raise SuiteArgumentError(
+            f"instances per property must be a positive integer, got {instances!r}"
+        )
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise SuiteArgumentError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     results = []
     for index, check in enumerate(_SUITE):
         rng = np.random.default_rng(

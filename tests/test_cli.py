@@ -413,3 +413,21 @@ def test_verify_command_catches_injected_defect(sign_defect, capsys):
     assert main(["verify", "--trials", "6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_refuses_bad_arguments():
+    for argv in (["--trials", "0"], ["--trials", "-3"], ["--seed", "-1"]):
+        done = run_in_fresh_interpreter(["verify", *argv])
+        assert done.returncode == 2, argv
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+        assert done.stdout == ""
+
+
+def test_verify_does_not_report_a_failure_inside_the_suite_as_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken draw")
+
+    monkeypatch.setattr(cblue.verify, "random_instance", broken)
+    with pytest.raises(ValueError, match="broken draw"):
+        main(["verify", "--trials", "1"])

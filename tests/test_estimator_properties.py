@@ -1,10 +1,12 @@
 """Property checks for the constrained estimators on randomized instances."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import cblue.verify
 from cblue.cli import _build_estimator
 from cblue.estimators import (
     AffineEstimator,
@@ -85,6 +87,45 @@ def test_full_suite_is_green():
     results = run_suite(instances=25, seed=7)
     assert len(results) == 10
     assert all(result.passed for result in results)
+
+
+@pytest.mark.parametrize(
+    "check, name, tol, mixed",
+    [
+        (check_constraint_satisfaction, "constraint-satisfaction", 1e-9, True),
+        (check_feasible_unbiasedness, "feasible-unbiasedness", 1e-9, True),
+        (check_covariance_formula_agreement, "covariance-formula-agreement", 1e-9, False),
+        (check_projection_identity, "projection-identity", 1e-9, True),
+        (check_form_equivalence, "form-equivalence", 1e-8, False),
+        (check_particular_invariance, "particular-solution-invariance", 1e-9, True),
+        (check_basis_invariance, "basis-invariance", 1e-9, True),
+        (check_white_noise_reduction, "white-noise-reduction", 1e-10, False),
+        (check_oracle_agreement, "oracle-agreement", 1e-8, False),
+        (check_variance_optimality, "variance-optimality", 1e-10, False),
+    ],
+)
+def test_each_property_draws_its_instance_mix(monkeypatch, check, name, tol, mixed):
+    # properties that also hold for wide H make every third instance underdetermined
+    drawn = []
+
+    def recording(rng, overdetermined=True, **kwargs):
+        drawn.append(overdetermined)
+        return random_instance(rng, overdetermined, **kwargs)
+
+    monkeypatch.setattr(cblue.verify, "random_instance", recording)
+    result = check(np.random.default_rng(11), 6)
+    assert drawn == ([True, True, False] * 2 if mixed else [True] * 6)
+    assert (result.name, result.tol, result.instances) == (name, tol, 6)
+
+
+@pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1), (5, 2**64), (5, 1.5)])
+def test_run_suite_refuses_bad_arguments_before_drawing(monkeypatch, instances, seed):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr(cblue.verify, "random_instance", forbidden)
+    with pytest.raises(ValueError):
+        run_suite(instances, seed=seed)
 
 
 def test_injected_defect_is_caught(sign_defect):
