@@ -87,13 +87,18 @@ def _cmd_experiment(args) -> int:
             svgchart.Curve(label, color, dash, report.empirical_mse[kind])
             for kind, label, color, dash in _CHART_STYLE
         ]
-        svgchart.write_loglog_chart(
-            chart_path,
-            report.k_grid,
-            curves,
-            x_label="noise scale k",
-            y_label="average MSE",
-        )
+        try:
+            svgchart.write_loglog_chart(
+                chart_path,
+                report.k_grid,
+                curves,
+                x_label="noise scale k",
+                y_label="average MSE",
+            )
+        except BaseException:
+            # a run that fails leaves no report behind
+            Path(args.output).unlink(missing_ok=True)
+            raise
         print(f"chart written to {chart_path}")
     print(
         f"report written to {args.output}: {len(report.k_grid)} k values, "

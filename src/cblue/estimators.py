@@ -13,7 +13,7 @@ have full column rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class CovarianceResult:
     """Estimator error covariance with its real diagonal split out."""
 
     C: np.ndarray
-    per_element_variance: np.ndarray = None
+    per_element_variance: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = as_matrix(self.C, "covariance")

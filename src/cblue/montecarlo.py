@@ -14,13 +14,24 @@ Each noise level has one counter-based Philox stream keyed by
 stream's uniforms, W being two uniforms per complex value of u, the reduced
 coordinates of x and the noise, padded to whole counter steps.  Each pair
 becomes one proper complex Gaussian in polar form, so a trial consumes the
-same amount of stream whatever it draws: a batch of trials is one call to
-the generator, ``run_reference_trial`` skips straight to trial t, and
-reports are reproducible bit for bit and independent of how trials are
-grouped.  ``run_experiment`` solves trials in batches, and a batch whose
-stacked Cholesky factorization finds a singular Gram matrix ends the sweep
-with an ``EstimationError``.  ``run_reference_trial`` runs one trial through
-the public estimator API, the path that the batch engine is tested against.
+same amount of stream whatever it draws: a run of trials is one call to
+the generator, and ``run_reference_trial`` skips straight to trial t.
+
+``run_experiment`` solves trials in batches of up to ``_BATCH`` that may
+span noise levels, each trial carrying its own noise diagonal.  The batch
+kernel ``_batch_sweep`` lays a batch out trial-minor: trials run along the
+last, contiguous axis, with the LS and BLUE families side by side, so each
+step of its algebra is one vector operation over the whole batch and its
+loops run over the matrix dimension (the "compact" layout of Kim et al.,
+"Designing vector-friendly compact BLAS and LAPACK kernels", SC'17).  It
+forms Gram matrices from lag products of u, factors them by a Cholesky
+loop of its own and gets the analytic MSEs from trace identities.  Every
+sum over a small axis runs in a fixed order and no BLAS product crosses
+trials, so reports are reproducible bit for bit and independent of how
+trials are batched.  A Gram matrix with a pivot that is not positive ends
+the sweep with an ``EstimationError`` naming its noise level and trials.
+``run_reference_trial`` runs one trial through the public estimator API,
+the path that the batch kernel is tested against.
 """
 
 from __future__ import annotations
@@ -80,15 +91,9 @@ def convolution_matrix(u, n_x: int) -> np.ndarray:
     seq = as_vector(u, "input sequence")
     if n_x < 1:
         raise ValueError(f"parameter count must be positive, got {n_x}")
-    return _convolution_matrices(seq, int(n_x))
-
-
-def _convolution_matrices(u: np.ndarray, n_x: int) -> np.ndarray:
-    """Full convolution matrices of the sequences along the last axis of ``u``."""
-    n_u = u.shape[-1]
-    h = np.zeros(u.shape[:-1] + (n_u + n_x - 1, n_x), dtype=np.complex128)
+    h = np.zeros((seq.size + n_x - 1, n_x), dtype=np.complex128)
     for j in range(n_x):
-        h[..., j : j + n_u, j] = u
+        h[j : j + seq.size, j] = seq
     return h
 
 
@@ -101,7 +106,11 @@ def _polar_normals(uniforms: np.ndarray) -> np.ndarray:
     """
     a = np.maximum(uniforms[..., 0::2], _LOWEST_CELL_MIDPOINT)
     phase = 2.0 * np.pi * uniforms[..., 1::2]
-    return np.sqrt(-np.log1p(-a)) * (np.cos(phase) + 1j * np.sin(phase))
+    radius = np.sqrt(-np.log1p(-a))
+    values = np.empty(radius.shape, dtype=np.complex128)
+    values.real = radius * np.cos(phase)
+    values.imag = radius * np.sin(phase)
+    return values
 
 
 def _policy_unit_norm_gaussian(param: NullspaceParam, alpha: np.ndarray) -> np.ndarray:
@@ -281,21 +290,72 @@ def run_reference_trial(spec: ExperimentSpec, k_index: int, trial_index: int) ->
     }
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverses of stacked lower-triangular matrices by forward substitution.
+def _ordered_sum(terms):
+    """Sum of ``terms`` (an array's first axis, or any iterable), added in order.
 
-    Row i of the inverse is ``-(L[i, :i] @ inverse[:i, :i]) / L[i, i]`` left of
-    its diagonal entry ``1 / L[i, i]``.  Each row is one step vectorized over
-    the stack, so the loop runs once per matrix dimension, not once per matrix.
+    ``ndarray.sum`` picks its order from the memory layout, which changes
+    when a batch holds a single trial; a fixed order keeps every trial's
+    result, and so the report, independent of the batch it sits in.
     """
-    n = lower.shape[-1]
-    diagonal_inverse = 1.0 / np.diagonal(lower, axis1=1, axis2=2)
-    inverse = np.zeros_like(lower)
-    for i in range(n):
-        row = (lower[:, i : i + 1, :i] @ inverse[:, :i, :i])[:, 0]
-        inverse[:, i, :i] = -row * diagonal_inverse[:, i, None]
-        inverse[:, i, i] = diagonal_inverse[:, i]
-    return inverse
+    return functools.reduce(np.add, terms)
+
+
+class _NotPositiveDefinite(np.linalg.LinAlgError):
+    """A Gram matrix of the batch has a Cholesky pivot that is not positive."""
+
+    def __init__(self, trial: int):
+        super().__init__("Matrix is not positive definite")
+        self.trial = trial
+
+
+def _lag_grams(u, weights, n_x):
+    """Weighted Gram matrices ``H^H diag(w) H`` of convolution matrices, trial-minor.
+
+    ``u`` is ``(n_u, B)`` and ``weights`` is ``(n_u + n_x - 1, B)``.  Entry
+    (i, i - m) is ``sum_s conj(u_s) u_(s+m) w_(s+i)``: the lag-m products of
+    u correlated with the weights, so no convolution matrix is formed.  Lags
+    of n_u and more are zero.  Only the lower triangle is filled.
+    """
+    n_u, width = u.shape
+    gram = np.zeros((n_x, n_x, width), dtype=np.complex128)
+    conj_u = u.conj()
+    for lag in range(min(n_x, n_u)):
+        products = conj_u[: n_u - lag] * u[lag:]
+        rows = np.arange(lag, n_x)
+        gram[rows, rows - lag] = _ordered_sum(
+            products[s] * weights[s + lag : s + n_x] for s in range(n_u - lag)
+        )
+    return gram
+
+
+def _factor_inverse(gram):
+    """Inverse Cholesky factors of trial-minor Gram matrices, ``(n, n, B)``.
+
+    Reads the lower triangle only, and overwrites ``gram`` with Schur
+    complements.  Step j of the factorization takes column j of ``L`` and
+    updates the trailing Schur complement by its outer product; step j of
+    the substitution finishes row j of ``L^-1`` and updates the rows below.
+    Each step is a few whole-batch vector operations, so the loop runs n
+    times whatever the batch size, and every entry accumulates its terms in
+    index order.  Returns ``L^-1`` and a mask of the trials whose pivots
+    were all positive.
+    """
+    n, _, width = gram.shape
+    inverse = np.zeros_like(gram)
+    positive = np.ones(width, dtype=bool)
+    for j in range(n):
+        pivot = gram[j, j].real
+        # LAPACK's rule: a pivot that is not > 0 (NaN included) stops the factorization.
+        positive &= pivot > 0.0
+        # Scaled by the reciprocal of the diagonal entry of L, as LAPACK does;
+        # complex, so that no product below casts per call.
+        scale = (1.0 / np.sqrt(pivot)).astype(np.complex128)
+        column = gram[j + 1 :, j] * scale
+        gram[j + 1 :, j + 1 :] -= column[:, None] * column.conj()
+        inverse[j, j] = scale
+        inverse[j, :j] *= scale
+        inverse[j + 1 :, : j + 1] -= column[:, None] * inverse[j, : j + 1]
+    return inverse, positive
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -306,60 +366,94 @@ def _batch_sweep(u_b, x_b, noise_b, d, n_x):
     covariance is diagonal, the constraint is a single zero-sum row (so the
     constraint step is a rank-one update) and its right-hand side is zero (so
     offsets vanish).  As in the public layer, each family is least squares on
-    a white-noise model matrix W: ``H`` for LS and ``D^(-1/2) H`` for BLUE.
-    Both are stacked family-major and every Gram ``G = W^H W`` is factored
-    by one stacked Cholesky call; ``G^-1 = L^-H L^-1`` comes from the
-    substituted factor inverse.  With ``g = G^-1 1``, the estimate
-    ``x = G^-1 W^H y_w`` gives the free variant, ``x - mean(x)`` the
-    mean-subtracted one and ``x - g (1^T x) / (1^T g)`` the constrained one.
-    The analytic MSEs follow from trace identities: the BLUE covariance is
-    ``P^-1`` itself, and the LS covariance is ``S = K^H D K`` with
-    ``K = H Q^-1``, the one n_y by n_x product left.
-    ``test_batch_sweep_matches_public_covariance_per_trial`` holds both to
-    the public constructors trial by trial.
+    a white-noise model: LS on ``H`` with Gram ``Q = H^H H`` and BLUE on
+    ``D^(-1/2) H`` with Gram ``P = H^H D^-1 H``.
 
-    Returns the estimation errors, shape ``(B, 6, n_x)``, and the analytic
-    MSEs, shape ``(B, 6)``, in ``ESTIMATOR_KINDS`` order.  A finite Gram
-    matrix that is not numerically positive definite raises ``LinAlgError``.
-    Floating-point warnings are silenced, and a noise level whose Gram
-    matrices leave double range yields non-finite cells unfactored: either
-    way ``run_experiment`` refuses the level.
+    The layout is trial-minor: trials run along the last, contiguous axis,
+    with the LS columns and then the BLUE columns side by side, so every step
+    is a whole-batch vector operation and the loops run over n_x and n_u,
+    never over trials.  The Grams, and ``M = H^H D H``, come from lag
+    products of u (``_lag_grams``).  Each Gram G is factored and its factor
+    inverted by ``_factor_inverse``; ``G^-1 = L^-H L^-1``.  With
+    ``g = G^-1 1``, the estimate ``x = G^-1 H^H W y`` gives the free
+    variant, ``x - mean(x)`` the mean-subtracted one and
+    ``x - g (1^T x) / (1^T g)`` the constrained one.  The analytic MSEs
+    follow from trace identities: the BLUE covariance is ``P^-1`` itself,
+    and the LS covariance is ``S = Q^-1 M Q^-1``, so ``tr S``,
+    ``1^T S 1 = q^H M q`` and ``1^T S q = q^H M Q^-1 q`` need no n_y by n_x
+    product.  Every sum over a small axis is added in a fixed order and no
+    BLAS product runs across trials, so each trial's results are bitwise the
+    same whatever batch it sits in.
+    ``test_batch_sweep_matches_public_covariance_per_trial`` holds both the
+    estimates and the analytic MSEs to the public constructors trial by trial.
+
+    ``d`` is the noise diagonal, one per trial ``(B, n_y)`` or shared
+    ``(n_y,)``.  Returns the estimation errors, shape ``(B, 6, n_x)``, and
+    the analytic MSEs, shape ``(B, 6)``, in ``ESTIMATOR_KINDS`` order.  A
+    finite Gram matrix with a pivot that is not positive raises
+    ``LinAlgError`` naming the first such trial.  Floating-point warnings
+    are silenced, and a trial whose Gram matrix leaves double range yields
+    non-finite results for its family only: ``run_experiment`` then refuses
+    the trial's noise level.
     """
-    n_trials = u_b.shape[0]
-    hb = _convolution_matrices(u_b, n_x)
-    y = (hb @ x_b[:, :, None])[:, :, 0] + noise_b
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    w = np.concatenate([hb, inv_sqrt_d[:, None] * hb])
-    wh = w.conj().transpose(0, 2, 1)
-    gram = wh @ w
-    if not np.isfinite(gram).all():
-        return (
-            np.full((n_trials, 6, n_x), np.nan, dtype=np.complex128),
-            np.full((n_trials, 6), np.nan),
-        )
-    l_inv = _lower_inverse(np.linalg.cholesky(gram))
-    g_inv = l_inv.conj().transpose(0, 2, 1) @ l_inv
-    y_w = np.concatenate([y, inv_sqrt_d * y])
-    x = (g_inv @ (wh @ y_w[:, :, None]))[:, :, 0]
-    g = g_inv.sum(axis=2)
-    ones_g = g.sum(axis=1, keepdims=True).real
-    ones_x = x.sum(axis=1, keepdims=True)
-    # Indexed (family, trial, variant): the family is LS, then BLUE; the
-    # variant is free, mean-subtracted, then constrained.
-    estimates = np.stack([x, x - ones_x / n_x, x - g * (ones_x / ones_g)], axis=1)
-    errors = estimates.reshape(2, n_trials, 3, n_x) - x_b[None, :, None, :]
+    n_trials, n_u = u_b.shape
+    n_y = n_u + n_x - 1
+    d = np.asarray(d, dtype=np.float64)
+    d = d[:, None] if d.ndim == 1 else d.T
+    u = np.ascontiguousarray(u_b.T)
+    x = np.ascontiguousarray(x_b.T)
+    ls, blue = slice(0, n_trials), slice(n_trials, 2 * n_trials)
+    families = slice(0, 2 * n_trials)
+    # Column blocks of B trials: LS (weight 1), BLUE (1/d), then M (d).
+    weights = np.empty((n_y, 3 * n_trials), dtype=np.complex128)
+    weights[:, ls] = 1.0
+    weights[:, blue] = 1.0 / d
+    weights[:, 2 * n_trials :] = d
+    tiled_u = np.tile(u, 3)
+    gram = _lag_grams(tiled_u, weights, n_x)
+    finite = np.isfinite(gram[:, :, families]).all(axis=(0, 1))
+    inverse, positive = _factor_inverse(gram[:, :, families])
+    singular = (finite & ~positive).reshape(2, n_trials).any(axis=0)
+    if singular.any():
+        raise _NotPositiveDefinite(int(np.flatnonzero(singular)[0]))
+    g_inv = np.zeros_like(inverse)
+    for k in range(n_x):
+        row = inverse[k, : k + 1]
+        g_inv[: k + 1, : k + 1] += row.conj()[:, None] * row
 
-    norm_g = np.square(np.abs(g)).sum(axis=1)
-    q, ones_q, norm_q = g[:n_trials], ones_g[:n_trials, 0], norm_g[:n_trials]
-    ones_p, norm_p = ones_g[n_trials:, 0], norm_g[n_trials:]
-    # LS: S = K^H D K with K = H Q^-1, so 1^T S v = (K 1)^H D (K v), K 1 = H q.
-    k = hb @ g_inv[:n_trials]
-    trace_s = (np.square(np.abs(k)) * d[:, None]).sum(axis=(1, 2))
-    k_ones = (hb @ q[:, :, None])[:, :, 0]
-    ones_s_ones = (np.square(np.abs(k_ones)) * d).sum(axis=1)
-    ones_s_q = (k_ones.conj() * d * (k @ q[:, :, None])[:, :, 0]).sum(axis=1).real
-    # BLUE: the covariance is P^-1, whose trace is the squared norm of L^-1.
-    trace_p = np.square(np.abs(l_inv[n_trials:])).sum(axis=(1, 2))
+    y = np.zeros((n_y, n_trials), dtype=np.complex128)
+    for j in range(n_x):
+        y[j : j + n_u] += u * x[j]
+    y += noise_b.T
+    weighted_y = np.tile(y, 2) * weights[:, families]
+    conj_u = tiled_u[:, families].conj()
+    rhs = _ordered_sum(conj_u[s] * weighted_y[s : s + n_x] for s in range(n_u))
+    x_hat = _ordered_sum(g_inv[:, j] * rhs[j] for j in range(n_x))
+    g = _ordered_sum(g_inv[:, j] for j in range(n_x))
+    ones_g = _ordered_sum(g).real
+    ones_x = _ordered_sum(x_hat)
+    norm_g = _ordered_sum(g * g.conj()).real
+    # Indexed (variant, element, family, trial): the variant is free,
+    # mean-subtracted, then constrained; the family is LS, then BLUE.
+    estimates = np.stack([x_hat, x_hat - ones_x / n_x, x_hat - g * (ones_x / ones_g)])
+    estimates[:, :, ~finite] = np.nan
+    errors = estimates.reshape(3, n_x, 2, n_trials)
+    errors -= x[:, None, :]
+
+    q_inv, q, ones_q, norm_q = g_inv[:, :, ls], g[:, ls], ones_g[ls], norm_g[ls]
+    m = gram[:, :, 2 * n_trials :]
+    for i in range(n_x - 1):
+        m[i, i + 1 :] = m[i + 1 :, i].conj()
+    # LS: S = Q^-1 M Q^-1, so tr S = sum_ik (Q^-1)_ik (M Q^-1)_ki.
+    m_q_inv = _ordered_sum(m[:, j, None] * q_inv[j] for j in range(n_x))
+    trace_s = _ordered_sum(_ordered_sum(q_inv * m_q_inv.transpose(1, 0, 2))).real
+    m_q = _ordered_sum(m[:, j] * q[j] for j in range(n_x))
+    q_inv_q = _ordered_sum(q_inv[:, j] * q[j] for j in range(n_x))
+    ones_s_ones = _ordered_sum(q.conj() * m_q).real
+    ones_s_q = _ordered_sum(m_q.conj() * q_inv_q).real
+    # BLUE: the covariance is P^-1 itself.
+    trace_p = _ordered_sum(g_inv[i, i, blue] for i in range(n_x)).real
+    ones_p, norm_p = ones_g[blue], norm_g[blue]
     analytic = np.stack(
         [
             trace_s,
@@ -370,10 +464,32 @@ def _batch_sweep(u_b, x_b, noise_b, d, n_x):
             trace_p,
             trace_p - ones_p / n_x,
             trace_p - norm_p / ones_p,
-        ],
-        axis=1,
+        ]
     )
-    return errors.transpose(1, 0, 2, 3).reshape(n_trials, 6, n_x), analytic / n_x
+    analytic[:3, ~finite[ls]] = np.nan
+    analytic[3:, ~finite[blue]] = np.nan
+    errors = errors.transpose(3, 2, 0, 1).reshape(n_trials, 6, n_x)
+    return errors, analytic.T / n_x
+
+
+def _batch_plan(levels: int, trials: int):
+    """Group the trials of every noise level into batches of up to ``_BATCH``.
+
+    Each level is cut into chunks of ``_BATCH`` trials counted from its
+    first trial; consecutive chunks, in (level, trial) order, share a batch
+    while their total stays within ``_BATCH``.  Yields each batch as a list
+    of ``(k_index, start, stop)`` segments.
+    """
+    batch, size = [], 0
+    for k_index in range(levels):
+        for start in range(0, trials, _BATCH):
+            stop = min(start + _BATCH, trials)
+            if size + stop - start > _BATCH:
+                yield batch
+                batch, size = [], 0
+            batch.append((k_index, start, stop))
+            size += stop - start
+    yield batch
 
 
 def run_experiment(spec: ExperimentSpec) -> MseReport:
@@ -382,8 +498,10 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     For every scale factor in ``spec.k_grid`` and every trial: draw a fresh
     input sequence, build its convolution matrix, draw a feasible zero-sum
     parameter vector by the configured policy, add scaled noise, and apply
-    all six estimators.  A batch whose convolution matrices lose rank ends
-    the sweep with an ``EstimationError`` naming k and the trials.
+    all six estimators.  Trials are solved in batches that may span noise
+    levels (``_batch_plan``); each trial carries its own noise diagonal.  A
+    rank-deficient convolution matrix ends the sweep with an
+    ``EstimationError`` naming its k and the trials of its batch at that k.
     Identical specs produce identical reports.
     """
     n_x = spec.n_x
@@ -394,45 +512,53 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     hpd_factor(np.diag(base_diag))
     _, param = _zero_sum_setup(n_x)
     width = _block_width(spec, param)
+    diags = [k * base_diag for k in spec.k_grid]
     # Per-k totals of per-trial statistics, added in trial order: sequential
     # rather than pairwise sums keep every total, and so the report,
     # independent of how trials are batched.  For each estimator kind the
     # columns hold the trial's MSE, its square and its analytic MSE, then
     # per element the real and imaginary error and the squared error.
     totals = np.zeros((len(spec.k_grid), len(ESTIMATOR_KINDS), 3 + 3 * n_x))
-    for k_index, k in enumerate(spec.k_grid):
-        d = k * base_diag
-        sqrt_d = np.sqrt(d)
-        rng = _trial_rng(spec.seed, k_index)
-        for start in range(0, spec.trials, _BATCH):
-            stop = min(start + _BATCH, spec.trials)
-            u_batch, x_batch, z_batch = _draw_trial(
-                spec, param, rng.random((stop - start, width))
+    for batch in _batch_plan(len(spec.k_grid), spec.trials):
+        bounds = np.cumsum([0] + [stop - start for _, start, stop in batch])
+        blocks = np.empty((bounds[-1], width))
+        for (k_index, start, _), first, last in zip(batch, bounds, bounds[1:]):
+            # a level's chunks come in order, so its stream carries over batches
+            if start == 0:
+                rng = _trial_rng(spec.seed, k_index)
+            rng.random(out=blocks[first:last])
+        u_batch, x_batch, z_batch = _draw_trial(spec, param, blocks)
+        d_batch = np.repeat(
+            [diags[k_index] for k_index, _, _ in batch], np.diff(bounds), axis=0
+        )
+        try:
+            errors, analytic = _batch_sweep(
+                u_batch, x_batch, z_batch * np.sqrt(d_batch), d_batch, n_x
             )
-            try:
-                errors, analytic = _batch_sweep(
-                    u_batch, x_batch, z_batch * sqrt_d, d, n_x
-                )
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError(
-                    f"noise scale k = {k!r}: trials {start} to {stop - 1} include a "
-                    f"rank-deficient convolution matrix ({exc})"
-                ) from exc
-            squared = np.square(np.abs(errors))
-            mse = squared.mean(axis=2)
-            stats = np.concatenate(
-                [
-                    np.stack([mse, np.square(mse), analytic], axis=2),
-                    errors.real,
-                    errors.imag,
-                    squared,
-                ],
-                axis=2,
-            )
-            stats[0] += totals[k_index]
-            totals[k_index] = stats.cumsum(axis=0)[-1]
-        if not np.isfinite(totals[k_index, :, [0, 2]]).all():
-            raise EstimationError(f"noise scale k = {k!r} gives a non-finite average MSE")
+        except _NotPositiveDefinite as exc:
+            k_index, start, stop = batch[np.searchsorted(bounds, exc.trial, "right") - 1]
+            raise EstimationError(
+                f"noise scale k = {spec.k_grid[k_index]!r}: trials {start} to "
+                f"{stop - 1} include a rank-deficient convolution matrix ({exc})"
+            ) from exc
+        squared = np.square(np.abs(errors))
+        mse = squared.mean(axis=2)
+        stats = np.concatenate(
+            [
+                np.stack([mse, np.square(mse), analytic], axis=2),
+                errors.real,
+                errors.imag,
+                squared,
+            ],
+            axis=2,
+        )
+        for (k_index, _, stop), first, last in zip(batch, bounds, bounds[1:]):
+            segment = stats[first:last]
+            segment[0] += totals[k_index]
+            totals[k_index] = segment.cumsum(axis=0)[-1]
+            if stop == spec.trials and not np.isfinite(totals[k_index, :, [0, 2]]).all():
+                k = spec.k_grid[k_index]
+                raise EstimationError(f"noise scale k = {k!r} gives a non-finite average MSE")
     means = totals / float(spec.trials)
 
     def per_kind(columns):

@@ -431,3 +431,14 @@ def test_verify_does_not_report_a_failure_inside_the_suite_as_bad_input(monkeypa
     monkeypatch.setattr(cblue.verify, "random_instance", broken)
     with pytest.raises(ValueError, match="broken draw"):
         main(["verify", "--trials", "1"])
+
+
+def test_experiment_failed_chart_leaves_no_report(tmp_path, capsys):
+    config = experiment_config(tmp_path)
+    out_csv = tmp_path / "sweep.csv"
+    (tmp_path / "sweep.svg").mkdir()
+    code = main(["experiment", "--config", str(config), "--output", str(out_csv), "--plot"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out_csv.exists()

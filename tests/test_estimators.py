@@ -401,3 +401,9 @@ def test_covariance_result_hermitian_check_holds_at_large_scale():
         CovarianceResult(np.array([[2.0, 1.0], [0.5, 2.0]]) * 2.0**600)
     result = CovarianceResult(np.array([[2.0, 1.0], [1.0, 2.0]]) * 2.0**600)
     assert_allclose(result.per_element_variance, [2.0**601, 2.0**601], rtol=0)
+
+
+def test_covariance_result_refuses_a_given_variance():
+    # the variances are derived from C; a passed-in value would be discarded
+    with pytest.raises(TypeError):
+        CovarianceResult(np.eye(2), per_element_variance=np.ones(2))

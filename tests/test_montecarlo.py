@@ -435,3 +435,109 @@ def test_standard_estimator_set_labels():
     assert tuple(estimators) == ESTIMATOR_KINDS
     assert estimators["cblue"].label in ("cblue_direct", "cblue_nullspace")
     assert estimators["ls_meansub"].label == "ls_meansub"
+
+
+def three_level_spec():
+    return small_spec(k_grid=(0.1, 0.4, 1.0), trials=5)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 10])
+def test_experiment_is_independent_of_level_spanning_batches(monkeypatch, batch):
+    import cblue.montecarlo as mc
+
+    # At the default size one batch holds all three levels; a size of 10
+    # puts two levels in the first batch, 7 one level per batch, and 1 a
+    # single trial per batch.
+    spec = three_level_spec()
+    whole = run_experiment(spec)
+    monkeypatch.setattr(mc, "_BATCH", batch)
+    batched = run_experiment(spec)
+    for field in (
+        "empirical_mse",
+        "analytic_mse",
+        "mse_stderr",
+        "elementwise_bias",
+        "elementwise_mse",
+    ):
+        for kind in ESTIMATOR_KINDS:
+            assert np.array_equal(getattr(whole, field)[kind], getattr(batched, field)[kind])
+
+
+def test_batch_plan_keeps_level_chunks_whole(monkeypatch):
+    import cblue.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_BATCH", 10)
+    assert list(mc._batch_plan(3, 5)) == [[(0, 0, 5), (1, 0, 5)], [(2, 0, 5)]]
+    monkeypatch.setattr(mc, "_BATCH", 4)
+    assert list(mc._batch_plan(2, 6)) == [
+        [(0, 0, 4)],
+        [(0, 4, 6)],
+        [(1, 0, 4)],
+        [(1, 4, 6)],
+    ]
+
+
+def test_experiment_names_the_level_that_leaves_double_range():
+    # both levels share a batch; only k = 1e-318 underflows a noise variance
+    spec = small_spec(k_grid=(1.0, 1e-318), base_noise_diag=(1e-10, 1.0, 1.0, 1.0))
+    with pytest.raises(EstimationError, match=r"^noise scale k = 1e-318 gives a non-finite"):
+        run_experiment(spec)
+
+
+def test_experiment_names_the_level_of_a_singular_trial_in_a_shared_batch(monkeypatch):
+    import cblue.montecarlo as mc
+
+    spec = small_spec()
+    _, param = mc._zero_sum_setup(spec.n_x)
+    n_uniforms = 2 * (spec.n_u + param.n0 + spec.n_y)
+    first_block = mc._trial_rng(spec.seed, 1).random(mc._block_width(spec, param))
+    real_polar_normals = mc._polar_normals
+
+    def zero_input_at_second_level(uniforms):
+        """Real draws, except that trial (k=1.0, t=0) gets a zero input sequence."""
+        values = real_polar_normals(uniforms)
+        if uniforms.shape[-1] == n_uniforms:
+            hit = np.all(uniforms == first_block[:n_uniforms], axis=-1)
+            values[..., : spec.n_u][hit] = 0.0
+        return values
+
+    monkeypatch.setattr(mc, "_polar_normals", zero_input_at_second_level)
+    with pytest.raises(EstimationError, match=r"^noise scale k = 1\.0: trials 0 to 4 "):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("n_x, n_u", [(7, 3), (3, 6)], ids=["lags-beyond-n_u", "long-input"])
+def test_batch_sweep_matches_reference_trials_at_other_shapes(n_x, n_u):
+    import cblue.montecarlo as mc
+
+    n_y = n_u + n_x - 1
+    spec = ExperimentSpec(
+        n_x=n_x,
+        n_u=n_u,
+        base_noise_diag=tuple(np.logspace(0, -2, n_y)),
+        k_grid=(0.5,),
+        trials=8,
+        seed=13,
+    )
+    _, param = mc._zero_sum_setup(spec.n_x)
+    d = spec.k_grid[0] * np.asarray(spec.base_noise_diag)
+    blocks = mc._trial_rng(spec.seed, 0).random((spec.trials, mc._block_width(spec, param)))
+    u_b, x_b, z_b = mc._draw_trial(spec, param, blocks)
+    # one noise diagonal per trial, as run_experiment passes them
+    d_b = np.tile(d, (spec.trials, 1))
+    errors, analytic = mc._batch_sweep(u_b, x_b, z_b * np.sqrt(d_b), d_b, spec.n_x)
+    for trial_index in range(spec.trials):
+        trial = run_reference_trial(spec, 0, trial_index)
+        assert np.array_equal(trial["u"], u_b[trial_index])
+        expected = {
+            kind: estimate - trial["x_true"]
+            for kind, estimate in trial["estimates"].items()
+        }
+        scale = max(np.abs(error).max() for error in expected.values())
+        for index, kind in enumerate(ESTIMATOR_KINDS):
+            assert analytic[trial_index, index] == pytest.approx(
+                trial["analytic"][kind], rel=1e-12
+            )
+            assert_allclose(
+                errors[trial_index, index], expected[kind], rtol=0, atol=1e-10 * scale
+            )
