@@ -9,6 +9,13 @@ constrained BLUE add one shared constraint step that enforces ``A @ x = b``
 exactly.  The nullspace form works whenever ``H N`` has full column rank,
 which includes underdetermined models; the direct form needs H itself to
 have full column rank.
+
+The whitened constructors (BLUE and both constrained BLUE forms) first build
+the estimator ``E_w`` of the whitened model ``L^-1 y = L^-1 H x + w`` and
+unwhiten it once, ``E = E_w L^-1``.  They keep ``E_w`` together with the
+model's own ``C_nn`` array, because the error covariance ``E C_nn E^H`` is
+then ``E_w E_w^H``: :func:`covariance` takes that product when it is handed
+that very array, and the general one for any other, an equal copy included.
 """
 
 from __future__ import annotations
@@ -45,11 +52,18 @@ from .numerics import (
 
 @dataclass(frozen=True, eq=False)
 class AffineEstimator:
-    """Estimator ``x_hat = E @ y + f`` with a label naming its kind."""
+    """Estimator ``x_hat = E @ y + f`` with a label naming its kind.
+
+    ``E_w`` and ``C_nn`` are set only by the whitened constructors: ``E_w = E @ L``
+    is the estimator on the whitened model and ``C_nn = L @ L^H`` is the model's
+    read-only noise covariance it was whitened against.  Otherwise both are None.
+    """
 
     E: np.ndarray
     f: np.ndarray
     label: str
+    E_w: np.ndarray | None = field(init=False, default=None, repr=False)
+    C_nn: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         e = as_matrix(self.E, "estimator matrix")
@@ -108,9 +122,18 @@ def _gram_factor(h: np.ndarray):
     return gram_factor(RankDeficient, "measurement matrix", h.conj().T, h)
 
 
-def _unwhitened_adjoint(model: LinearModel, w: np.ndarray) -> np.ndarray:
-    """``W^H @ L^-1`` for a whitened W: solving against it gives ``E = E_w L^-1``."""
-    return half_solve(model.noise_factor, w, adjoint=True).conj().T
+def _unwhitened(model: LinearModel, m_w: np.ndarray) -> np.ndarray:
+    """``m_w @ L^-1``: the map on y of a map ``m_w`` on the whitened measurement ``L^-1 y``."""
+    return half_solve(model.noise_factor, m_w.conj().T, adjoint=True).conj().T
+
+
+def _whitened_estimator(model: LinearModel, e_w, e, f, label: str) -> AffineEstimator:
+    """``AffineEstimator(e, f, label)`` keeping ``e_w = e @ L`` and the model's ``C_nn``."""
+    est = AffineEstimator(E=e, f=f, label=label)
+    e_w.flags.writeable = False
+    object.__setattr__(est, "E_w", e_w)
+    object.__setattr__(est, "C_nn", model.C_nn)
+    return est
 
 
 def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraints: ConstraintSet):
@@ -140,8 +163,8 @@ def ls(model: LinearModel) -> AffineEstimator:
 def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
     w, factor = model.whitened_gram(model.H)
-    e = hpd_solve(factor, _unwhitened_adjoint(model, w))
-    return AffineEstimator(E=e, f=np.zeros(model.n_x), label="blue")
+    e_w = hpd_solve(factor, w.conj().T)
+    return _whitened_estimator(model, e_w, _unwhitened(model, e_w), np.zeros(model.n_x), "blue")
 
 
 def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -160,8 +183,8 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     """
     _check_parameter_dims(model, constraints)
     w, factor = model.whitened_gram(model.H)
-    e, f = _constrained_ls(factor, hpd_solve(factor, _unwhitened_adjoint(model, w)), constraints)
-    return AffineEstimator(E=e, f=f, label="cblue_direct")
+    e_w, f = _constrained_ls(factor, hpd_solve(factor, w.conj().T), constraints)
+    return _whitened_estimator(model, e_w, _unwhitened(model, e_w), f, "cblue_direct")
 
 
 def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimator:
@@ -179,10 +202,13 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
             f"{h.shape[1]} parameters"
         )
     w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
-    e = param.basis @ hpd_solve(factor, _unwhitened_adjoint(model, w))
+    # unwhiten the reduced estimator before lifting it: it has n0 rows, so its
+    # adjoint is tall even when the model is underdetermined
+    reduced_w = hpd_solve(factor, w.conj().T)
+    e = param.basis @ _unwhitened(model, reduced_w)
     xp = param.particular
     f = xp - e @ (h @ xp)
-    return AffineEstimator(E=e, f=f, label="cblue_nullspace")
+    return _whitened_estimator(model, param.basis @ reduced_w, e, f, "cblue_nullspace")
 
 
 def cblue(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -230,7 +256,15 @@ def project_onto_constraints(
 
 
 def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
-    """Error covariance ``E @ C_nn @ E^H`` of an affine estimator."""
+    """Error covariance ``E @ C_nn @ E^H`` of an affine estimator.
+
+    If ``noise_cov`` is the very array ``est.C_nn``, the ``model.C_nn`` a whitened
+    constructor built ``est`` against, the covariance is ``E_w @ E_w^H`` from the
+    kept whitened estimator.  Any other array, an equal copy included, takes the
+    general product.
+    """
+    if est.E_w is not None and noise_cov is est.C_nn:
+        return CovarianceResult(C=hermitian_product("error covariance", est.E_w, est.E_w.conj().T))
     c = as_matrix(noise_cov, "noise covariance")
     if c.shape[0] != c.shape[1] or c.shape[0] != est.E.shape[1]:
         raise DimensionMismatch(

@@ -16,11 +16,11 @@ import numpy as np
 from .errors import DimensionMismatch, EstimationError, RankDeficient, RankDeficientConstraints
 from .numerics import (
     HpdFactor,
+    _hermitian_gated_factor,
     as_matrix,
     as_vector,
     gram_factor,
     half_solve,
-    hpd_factor,
     least_norm_solution,
     nullspace_basis,
     numerical_rank,
@@ -33,8 +33,9 @@ REDUCED = "reduced measurement matrix H N"
 class LinearModel:
     """Observation model ``y = H @ x + n`` with noise covariance ``C_nn``.
 
-    ``C_nn`` must be Hermitian positive definite; its Cholesky factor is
-    computed once at construction and reused by the estimators.
+    ``C_nn`` must be Hermitian positive definite.  It is copied and checked
+    once, and its Cholesky factor is computed once at construction and reused
+    by the estimators.
     """
 
     H: np.ndarray
@@ -53,7 +54,7 @@ class LinearModel:
             )
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "C_nn", c)
-        object.__setattr__(self, "noise_factor", hpd_factor(c))
+        object.__setattr__(self, "noise_factor", _hermitian_gated_factor(c))
 
     @property
     def n_y(self) -> int:

@@ -555,7 +555,11 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
         for (k_index, _, stop), first, last in zip(batch, bounds, bounds[1:]):
             segment = stats[first:last]
             segment[0] += totals[k_index]
-            totals[k_index] = segment.cumsum(axis=0)[-1]
+            # numpy adds an outer-axis reduction row by row, in trial order, and
+            # forms no prefix sums; it does not document that order, so
+            # test_experiment_is_independent_of_batch_size and
+            # test_experiment_is_independent_of_level_spanning_batches guard it
+            totals[k_index] = np.add.reduce(segment, axis=0)
             if stop == spec.trials and not np.isfinite(totals[k_index, :, [0, 2]]).all():
                 k = spec.k_grid[k_index]
                 raise EstimationError(f"noise scale k = {k!r} gives a non-finite average MSE")

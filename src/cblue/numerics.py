@@ -117,6 +117,14 @@ def hpd_factor(m) -> HpdFactor:
     arr = as_matrix(m, "hpd matrix")
     if arr.shape[1] != arr.shape[0]:
         raise DimensionMismatch(f"hpd matrix must be square, got {arr.shape}")
+    return _hermitian_gated_factor(arr)
+
+
+def _hermitian_gated_factor(arr: np.ndarray) -> HpdFactor:
+    """:func:`hpd_factor` of a square ``arr`` that :func:`as_matrix` already returned.
+
+    Callers that keep their own checked copy factor it here without a second copy.
+    """
     asymmetry, size, _ = scaled_asymmetry(arr)
     if asymmetry > _HERMITIAN_RTOL * size:
         raise NotPositiveDefinite("matrix is not Hermitian to relative tolerance 1e-12")

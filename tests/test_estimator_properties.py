@@ -83,6 +83,18 @@ def test_cblue_beats_listed_competitors():
     _assert_passes(check_variance_optimality, 60, 110)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="suite seed 331, instance 39 (cond P = 1.9e7): the full-rank covariance form "
+    "is off by 2.5e-9 against the 1e-9 tolerance; ROADMAP item 4",
+)
+def test_covariance_formulas_agree_at_suite_seed_331():
+    # the substream run_suite(50, 331) gives this property
+    index = cblue.verify._SUITE.index(check_covariance_formula_agreement)
+    seed = np.random.SeedSequence(entropy=331, spawn_key=(index,))
+    _assert_passes(check_covariance_formula_agreement, 50, seed)
+
+
 def test_full_suite_is_green():
     results = run_suite(instances=25, seed=7)
     assert len(results) == 10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cblue.cli import _METHODS
 from cblue.errors import (
     DimensionMismatch,
     EstimationError,
@@ -393,6 +394,39 @@ def test_extreme_scales_raise_estimation_error(exponent):
     for build in builders:
         with pytest.raises(EstimationError, match="not finite in double precision"):
             covariance(build(), model.C_nn)
+
+
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_covariance_routes_agree(overdetermined):
+    # a package-built estimator handed its own model's C_nn array takes the
+    # whitened route E_w E_w^H; an equal copy takes the general E C_nn E^H
+    rng = np.random.default_rng(89)
+    whitened = 0
+    for _ in range(4):
+        model, constraints, _ = draw_instance(rng, overdetermined)
+        copy = np.array(model.C_nn)
+        for method, build in _METHODS.items():
+            try:
+                est = build(model, constraints)
+            except RankDeficient:
+                assert not overdetermined, method
+                continue
+            own = covariance(est, model.C_nn)
+            general = covariance(est, copy)
+            gap = np.linalg.norm(own.C - general.C)
+            assert gap <= 1e-12 * np.linalg.norm(general.C), method
+            assert_allclose(own.per_element_variance, general.per_element_variance, rtol=1e-12)
+            if est.E_w is not None:
+                whitened += 1
+                assert est.C_nn is model.C_nn
+                with pytest.raises(ValueError):
+                    est.E_w[0, 0] = 1.0
+            hand = AffineEstimator(E=est.E, f=est.f, label=est.label)
+            assert hand.E_w is None and hand.C_nn is None
+            assert_allclose(covariance(hand, model.C_nn).C, general.C, rtol=1e-15, atol=0)
+    # blue, cblue, cblue-direct and cblue-nullspace on tall models; cblue and
+    # cblue-nullspace on wide ones
+    assert whitened == 4 * (4 if overdetermined else 2)
 
 
 def test_covariance_result_hermitian_check_holds_at_large_scale():

@@ -56,6 +56,25 @@ def test_linear_model_rejects_indefinite_noise():
         LinearModel(np.ones((2, 1)), np.diag([1.0, -1.0]))
 
 
+NEAR_HERMITIAN = np.array([[2.0, 1.0], [0.5, 2.0]])
+HERMITIAN = np.array([[2.0, 1.0 + 0.5j], [1.0 - 0.5j, 2.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600])
+def test_linear_model_rejects_non_hermitian_noise(scale):
+    with pytest.raises(NotPositiveDefinite, match="Hermitian"):
+        LinearModel(np.eye(2), NEAR_HERMITIAN * scale)
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_linear_model_accepts_hermitian_noise_at_extreme_scale(exponent):
+    model = LinearModel(np.eye(2), HERMITIAN * 2.0**exponent)
+    unit = LinearModel(np.eye(2), HERMITIAN)
+    assert_allclose(
+        model.noise_factor.lower, unit.noise_factor.lower * 2.0 ** (exponent // 2), rtol=1e-15
+    )
+
+
 def test_linear_model_rejects_nan():
     h = np.ones((2, 2))
     h[0, 0] = np.nan
