@@ -10,12 +10,14 @@ exactly.  The nullspace form works whenever ``H N`` has full column rank,
 which includes underdetermined models; the direct form needs H itself to
 have full column rank.
 
-The whitened constructors (BLUE and both constrained BLUE forms) first build
-the estimator ``E_w`` of the whitened model ``L^-1 y = L^-1 H x + w`` and
-unwhiten it once, ``E = E_w L^-1``.  They keep ``E_w`` together with the
-model's own ``C_nn`` array, because the error covariance ``E C_nn E^H`` is
-then ``E_w E_w^H``: :func:`covariance` takes that product when it is handed
-that very array, and the general one for any other, an equal copy included.
+The whitened constructors (BLUE and both constrained BLUE forms) build the
+estimator ``E_w`` of the whitened model ``L^-1 y = L^-1 H x + w`` and keep it
+with the model's own ``C_nn`` array and its factor L.  They apply it as
+``E_w (L^-1 y) + f`` and form ``E = E_w L^-1`` only when it is first read.
+The error covariance ``E C_nn E^H`` is then ``E_w E_w^H``: handed that very
+``C_nn`` array, :func:`covariance` takes the per-element variances from the
+squared row norms of ``E_w`` and forms the full matrix only when it is first
+read; any other array, an equal copy included, takes the general product.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EstimationError,
     RankDeficient,
     RankDeficientConstraints,
     RankDeficientReducedModel,
@@ -40,6 +43,7 @@ from .model import (
     parameterize,
 )
 from .numerics import (
+    HpdFactor,
     as_matrix,
     as_vector,
     gram_factor,
@@ -50,13 +54,39 @@ from .numerics import (
 )
 
 
+class _FormedOnRead:
+    """Base of a frozen dataclass whose private constructor may leave fields unset.
+
+    :meth:`_deferred` builds an instance without the public ``__init__``; each
+    field it leaves unset is formed by its function when first read and then
+    kept, so later reads are plain attribute reads.
+    """
+
+    @classmethod
+    def _deferred(cls, forms: dict, **values):
+        obj = object.__new__(cls)
+        for name, value in {**values, "_forms": forms}.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def __getattr__(self, name: str):
+        # reached only when ordinary lookup fails: an unset field or no such attribute
+        form = self.__dict__.get("_forms", {}).get(name)
+        if form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = form()
+        object.__setattr__(self, name, value)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
-class AffineEstimator:
+class AffineEstimator(_FormedOnRead):
     """Estimator ``x_hat = E @ y + f`` with a label naming its kind.
 
     ``E_w`` and ``C_nn`` are set only by the whitened constructors: ``E_w = E @ L``
     is the estimator on the whitened model and ``C_nn = L @ L^H`` is the model's
     read-only noise covariance it was whitened against.  Otherwise both are None.
+    Such an estimator applies ``E_w`` to ``L^-1 y`` and forms ``E`` on first read.
     """
 
     E: np.ndarray
@@ -64,6 +94,7 @@ class AffineEstimator:
     label: str
     E_w: np.ndarray | None = field(init=False, default=None, repr=False)
     C_nn: np.ndarray | None = field(init=False, default=None, repr=False)
+    _noise_factor: HpdFactor | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         e = as_matrix(self.E, "estimator matrix")
@@ -79,24 +110,33 @@ class AffineEstimator:
     def apply(self, y) -> np.ndarray:
         """Estimate from a measurement vector, or column-wise from a matrix."""
         arr = np.asarray(y, dtype=np.complex128)
+        n_y = (self.E if self.E_w is None else self.E_w).shape[1]
         if arr.ndim == 1:
-            if arr.shape[0] != self.E.shape[1]:
+            if arr.shape[0] != n_y:
                 raise DimensionMismatch(
-                    f"measurement has {arr.shape[0]} entries, expected {self.E.shape[1]}"
+                    f"measurement has {arr.shape[0]} entries, expected {n_y}"
                 )
-            return self.E @ arr + self.f
-        if arr.ndim == 2:
-            if arr.shape[0] != self.E.shape[1]:
+            offset = self.f
+        elif arr.ndim == 2:
+            if arr.shape[0] != n_y:
                 raise DimensionMismatch(
-                    f"measurements have {arr.shape[0]} rows, expected {self.E.shape[1]}"
+                    f"measurements have {arr.shape[0]} rows, expected {n_y}"
                 )
-            return self.E @ arr + self.f[:, None]
-        raise DimensionMismatch("measurements must be a vector or a matrix of columns")
+            offset = self.f[:, None]
+        else:
+            raise DimensionMismatch("measurements must be a vector or a matrix of columns")
+        if self.E_w is None:
+            return self.E @ arr + offset
+        return self.E_w @ half_solve(self._noise_factor, arr) + offset
 
 
 @dataclass(frozen=True, eq=False)
-class CovarianceResult:
-    """Estimator error covariance with its real diagonal split out."""
+class CovarianceResult(_FormedOnRead):
+    """Estimator error covariance with its real diagonal split out.
+
+    :func:`covariance` of a whitened estimator against its own ``C_nn`` sets the
+    variances from the rows of ``E_w`` and forms ``C`` on first read.
+    """
 
     C: np.ndarray
     per_element_variance: np.ndarray = field(init=False)
@@ -122,18 +162,36 @@ def _gram_factor(h: np.ndarray):
     return gram_factor(RankDeficient, "measurement matrix", h.conj().T, h)
 
 
-def _unwhitened(model: LinearModel, m_w: np.ndarray) -> np.ndarray:
+def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
     """``m_w @ L^-1``: the map on y of a map ``m_w`` on the whitened measurement ``L^-1 y``."""
-    return half_solve(model.noise_factor, m_w.conj().T, adjoint=True).conj().T
+    return half_solve(noise_factor, m_w.conj().T, adjoint=True).conj().T
 
 
-def _whitened_estimator(model: LinearModel, e_w, e, f, label: str) -> AffineEstimator:
-    """``AffineEstimator(e, f, label)`` keeping ``e_w = e @ L`` and the model's ``C_nn``."""
-    est = AffineEstimator(E=e, f=f, label=label)
+def _whitened_estimator(model: LinearModel, core_w, f, label: str, lift=None) -> AffineEstimator:
+    """Estimator with whitened map ``E_w = lift @ core_w`` (``core_w`` without a lift) and offset ``f``.
+
+    E is formed on first read as ``lift @ (core_w @ L^-1)``.  Unwhitening before
+    lifting solves against the reduced map, which has n0 rows, so its adjoint is
+    tall even when the model is underdetermined.
+    """
+    e_w = core_w if lift is None else lift @ core_w
+    if not np.isfinite(e_w).all():
+        raise ValueError("estimator matrix contains non-finite entries")
     e_w.flags.writeable = False
-    object.__setattr__(est, "E_w", e_w)
-    object.__setattr__(est, "C_nn", model.C_nn)
-    return est
+    noise_factor = model.noise_factor
+
+    def form_e():
+        e = _unwhitened(noise_factor, core_w)
+        return as_matrix(e if lift is None else lift @ e, "estimator matrix")
+
+    return AffineEstimator._deferred(
+        {"E": form_e},
+        f=as_vector(f, "estimator offset"),
+        label=label,
+        E_w=e_w,
+        C_nn=model.C_nn,
+        _noise_factor=noise_factor,
+    )
 
 
 def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraints: ConstraintSet):
@@ -164,7 +222,7 @@ def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
     w, factor = model.whitened_gram(model.H)
     e_w = hpd_solve(factor, w.conj().T)
-    return _whitened_estimator(model, e_w, _unwhitened(model, e_w), np.zeros(model.n_x), "blue")
+    return _whitened_estimator(model, e_w, np.zeros(model.n_x), "blue")
 
 
 def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -184,7 +242,7 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     _check_parameter_dims(model, constraints)
     w, factor = model.whitened_gram(model.H)
     e_w, f = _constrained_ls(factor, hpd_solve(factor, w.conj().T), constraints)
-    return _whitened_estimator(model, e_w, _unwhitened(model, e_w), f, "cblue_direct")
+    return _whitened_estimator(model, e_w, f, "cblue_direct")
 
 
 def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimator:
@@ -202,13 +260,11 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
             f"{h.shape[1]} parameters"
         )
     w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
-    # unwhiten the reduced estimator before lifting it: it has n0 rows, so its
-    # adjoint is tall even when the model is underdetermined
     reduced_w = hpd_solve(factor, w.conj().T)
-    e = param.basis @ _unwhitened(model, reduced_w)
     xp = param.particular
-    f = xp - e @ (h @ xp)
-    return _whitened_estimator(model, param.basis @ reduced_w, e, f, "cblue_nullspace")
+    # x_p - E_w L^-1 H x_p, whitening H x_p as one tall column like every solve here
+    f = xp - param.basis @ (reduced_w @ half_solve(model.noise_factor, h @ xp[:, None]))[:, 0]
+    return _whitened_estimator(model, reduced_w, f, "cblue_nullspace", lift=param.basis)
 
 
 def cblue(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -260,11 +316,12 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
 
     If ``noise_cov`` is the very array ``est.C_nn``, the ``model.C_nn`` a whitened
     constructor built ``est`` against, the covariance is ``E_w @ E_w^H`` from the
-    kept whitened estimator.  Any other array, an equal copy included, takes the
-    general product.
+    kept whitened estimator: its per-element variances are the squared row norms
+    of ``E_w``, and its ``C`` is that product, formed and checked on first read.
+    Any other array, an equal copy included, takes the general product.
     """
     if est.E_w is not None and noise_cov is est.C_nn:
-        return CovarianceResult(C=hermitian_product("error covariance", est.E_w, est.E_w.conj().T))
+        return _whitened_covariance(est.E_w)
     c = as_matrix(noise_cov, "noise covariance")
     if c.shape[0] != c.shape[1] or c.shape[0] != est.E.shape[1]:
         raise DimensionMismatch(
@@ -273,6 +330,25 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
         )
     return CovarianceResult(
         C=hermitian_product("error covariance", est.E, c, est.E.conj().T)
+    )
+
+
+def _whitened_covariance(e_w: np.ndarray) -> CovarianceResult:
+    """``CovarianceResult(E_w E_w^H)`` with its diagonal taken from the rows of ``e_w``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = np.einsum("ij,ij->i", e_w.real, e_w.real) + np.einsum(
+            "ij,ij->i", e_w.imag, e_w.imag
+        )
+    if not np.isfinite(variance).all():
+        raise EstimationError(
+            "error covariance is not finite in double precision; rescale the problem"
+        )
+    variance.flags.writeable = False
+    return CovarianceResult._deferred(
+        {"C": lambda: CovarianceResult(
+            hermitian_product("error covariance", e_w, e_w.conj().T)
+        ).C},
+        per_element_variance=variance,
     )
 
 

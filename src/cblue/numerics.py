@@ -27,6 +27,7 @@ from .errors import (
 
 _EPS = float(np.finfo(np.float64).eps)
 _HERMITIAN_RTOL = 1e-12
+_ASYMMETRY_BLOCK = 128
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -77,16 +78,27 @@ def hermitian_product(what: str, *factors: np.ndarray) -> np.ndarray:
 
 
 def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
-    """Frobenius norms of ``p (m - m^H)`` and ``p m``, and p, for C-contiguous complex ``m``.
+    """Frobenius norms of ``p (m - m^H)`` and ``p m``, and p, for square C-contiguous complex ``m``.
 
     p, the normal power of 2 nearest ``1 / max|m|``, scales exactly: relative tests on
-    the two norms are tests on ``m``, with sums of squares that cannot overflow.
+    the two norms are tests on ``m``, with sums of squares that cannot overflow.  The
+    difference is taken block by block over the lower block triangle, so the transpose
+    is read in small tiles rather than with strides across the whole matrix.
     """
     peak = float(np.abs(m.view(np.float64)).max())
     power = 2.0 ** -min(max(math.frexp(peak)[1], -1022), 1022)
     scaled = m * power
-    size = np.linalg.norm(scaled)
-    return np.linalg.norm(np.subtract(scaled, scaled.conj().T, out=scaled)), size, power
+    n, step = m.shape[0], _ASYMMETRY_BLOCK
+    if n <= step:
+        d = scaled - scaled.conj().T
+        return math.sqrt(np.vdot(d, d).real), np.linalg.norm(scaled), power
+    squares = 0.0
+    for i in range(0, n, step):
+        for j in range(0, i + 1, step):
+            d = scaled[i:i + step, j:j + step] - scaled[j:j + step, i:i + step].conj().T
+            # block (j, i) has the same difference, transposed and negated
+            squares += (1.0 if i == j else 2.0) * np.vdot(d, d).real
+    return math.sqrt(squares), np.linalg.norm(scaled), power
 
 
 @dataclass(frozen=True, eq=False)

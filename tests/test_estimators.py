@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cblue.cli import _METHODS
 from cblue.errors import (
@@ -441,3 +443,55 @@ def test_covariance_result_refuses_a_given_variance():
     # the variances are derived from C; a passed-in value would be discarded
     with pytest.raises(TypeError):
         CovarianceResult(np.eye(2), per_element_variance=np.ones(2))
+
+
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdetermined):
+    # cblue, apply and the per-element variances, the pipeline of `cblue
+    # estimate`, neither unwhiten E nor form the full error covariance
+    import cblue.estimators as estimators
+    from cblue.numerics import half_solve, hermitized, hpd_solve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed before it was read")
+
+    rng = np.random.default_rng(97)
+    model, constraints, param = draw_instance(rng, overdetermined)
+    y = rng.standard_normal(model.n_y) + 1j * rng.standard_normal(model.n_y)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_unwhitened", refuse)
+        patch.setattr(estimators, "hermitian_product", refuse)
+        est = cblue(model, constraints)
+        x_hat = est.apply(y)
+        result = covariance(est, model.C_nn)
+        variance = result.per_element_variance
+    # on first read, E and C are what the constructors used to form eagerly
+    if overdetermined:
+        assert est.label == "cblue_direct"
+        e = half_solve(model.noise_factor, est.E_w.conj().T, adjoint=True).conj().T
+    else:
+        assert est.label == "cblue_nullspace"
+        w, factor = model.whitened_gram(model.H @ param.basis)
+        reduced_w = hpd_solve(factor, w.conj().T)
+        e = param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
+    assert_array_equal(est.E, e)
+    assert_array_equal(result.C, hermitized(est.E_w @ est.E_w.conj().T))
+    assert est.E is est.E and result.C is result.C
+    scale = np.linalg.norm(x_hat)
+    assert np.linalg.norm(x_hat - (est.E @ y + est.f)) <= 1e-12 * scale
+    assert_allclose(variance, result.C.diagonal().real, rtol=1e-12)
+    flipped = dataclasses.replace(est, f=-est.f)
+    assert flipped.E_w is None
+    assert np.linalg.norm(flipped.apply(y) - (est.E @ y - est.f)) <= 1e-12 * scale
+    assert_allclose(covariance(flipped, model.C_nn).per_element_variance, variance, rtol=1e-12)
+
+
+def test_estimator_refuses_a_non_finite_whitened_map(monkeypatch):
+    # the deferred E is refused at construction, as the eager one was
+    import cblue.estimators as estimators
+
+    monkeypatch.setattr(
+        estimators, "hpd_solve", lambda factor, rhs: np.full(np.shape(rhs), np.inf, complex)
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        blue(COLORED_MODEL)

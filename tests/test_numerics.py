@@ -16,6 +16,7 @@ from cblue.numerics import (
     least_norm_solution,
     nullspace_basis,
     numerical_rank,
+    scaled_asymmetry,
 )
 
 
@@ -242,3 +243,22 @@ def test_hpd_factor_accepts_hermitian_at_large_scale():
     hermitian = np.array([[2.0, 1.0], [1.0, 2.0]])
     factor = hpd_factor(hermitian * 2.0**600)
     assert_allclose(factor.lower, hpd_factor(hermitian).lower * 2.0**300, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [5, 128, 129, 300])
+def test_scaled_asymmetry_matches_the_whole_matrix_difference(n):
+    # above 128 rows m - m^H is summed block by block; only the order of the
+    # sum of squares changes, so it matches the whole-matrix norm to roundoff
+    rng = np.random.default_rng(n)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = np.ascontiguousarray((random_hpd(rng, n) + 1e-9 * noise) * 2.0**600)
+    asymmetry, size, power = scaled_asymmetry(m)
+    assert power == 2.0 ** -np.frexp(np.abs(m.view(np.float64)).max())[1]
+    scaled = m * power
+    assert size == np.linalg.norm(scaled)
+    assert_allclose(asymmetry, np.linalg.norm(scaled - scaled.conj().T), rtol=1e-12)
+    # one asymmetric entry far below the diagonal counts in both mirror blocks
+    lone = np.array(random_hpd(rng, n))
+    lone[n - 1, 0] += 1e-3
+    asymmetry, _, power = scaled_asymmetry(lone)
+    assert_allclose(asymmetry, np.sqrt(2.0) * 1e-3 * power, rtol=1e-9)
