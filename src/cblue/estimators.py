@@ -13,7 +13,8 @@ have full column rank.
 The whitened constructors (BLUE and both constrained BLUE forms) build the
 estimator ``E_w`` of the whitened model ``L^-1 y = L^-1 H x + w`` and keep it
 with the model's own ``C_nn`` array and its factor L.  They apply it as
-``E_w (L^-1 y) + f`` and form ``E = E_w L^-1`` only when it is first read.
+``E_w (L^-1 y) + f`` and form ``E = E_w L^-1`` only when it is first read or a
+batch of measurements is wide enough that forming it costs less.
 The error covariance ``E C_nn E^H`` is then ``E_w E_w^H``: handed that very
 ``C_nn`` array, :func:`covariance` takes the per-element variances from the
 squared row norms of ``E_w`` and forms the full matrix only when it is first
@@ -59,7 +60,8 @@ class _FormedOnRead:
 
     :meth:`_deferred` builds an instance without the public ``__init__``; each
     field it leaves unset is formed by its function when first read and then
-    kept, so later reads are plain attribute reads.
+    kept, so later reads are plain attribute reads.  The function is dropped
+    once it has run, and pickling or copying forms every field still unset.
     """
 
     @classmethod
@@ -71,12 +73,19 @@ class _FormedOnRead:
 
     def __getattr__(self, name: str):
         # reached only when ordinary lookup fails: an unset field or no such attribute
-        form = self.__dict__.get("_forms", {}).get(name)
+        forms = self.__dict__.get("_forms", {})
+        form = forms.get(name)
         if form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         value = form()
         object.__setattr__(self, name, value)
+        del forms[name]
         return value
+
+    def __getstate__(self):
+        for name in list(self.__dict__.get("_forms", ())):
+            getattr(self, name)
+        return {name: value for name, value in self.__dict__.items() if name != "_forms"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +95,9 @@ class AffineEstimator(_FormedOnRead):
     ``E_w`` and ``C_nn`` are set only by the whitened constructors: ``E_w = E @ L``
     is the estimator on the whitened model and ``C_nn = L @ L^H`` is the model's
     read-only noise covariance it was whitened against.  Otherwise both are None.
-    Such an estimator applies ``E_w`` to ``L^-1 y`` and forms ``E`` on first read.
+    Such an estimator forms ``E`` on first read and keeps L.  It applies ``E_w`` to
+    ``L^-1 y`` until ``E`` is formed, or forms ``E`` for a matrix of more columns
+    than ``E`` has rows, where one unwhitening costs less than whitening each column.
     """
 
     E: np.ndarray
@@ -125,7 +136,8 @@ class AffineEstimator(_FormedOnRead):
             offset = self.f[:, None]
         else:
             raise DimensionMismatch("measurements must be a vector or a matrix of columns")
-        if self.E_w is None:
+        # E is in the instance dict once formed, and from the start when E_w is None
+        if "E" in self.__dict__ or (arr.ndim == 2 and arr.shape[1] > self.E_w.shape[0]):
             return self.E @ arr + offset
         return self.E_w @ half_solve(self._noise_factor, arr) + offset
 

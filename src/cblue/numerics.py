@@ -89,9 +89,6 @@ def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
     power = 2.0 ** -min(max(math.frexp(peak)[1], -1022), 1022)
     scaled = m * power
     n, step = m.shape[0], _ASYMMETRY_BLOCK
-    if n <= step:
-        d = scaled - scaled.conj().T
-        return math.sqrt(np.vdot(d, d).real), np.linalg.norm(scaled), power
     squares = 0.0
     for i in range(0, n, step):
         for j in range(0, i + 1, step):

@@ -495,3 +495,74 @@ def test_estimator_refuses_a_non_finite_whitened_map(monkeypatch):
     )
     with pytest.raises(ValueError, match="non-finite"):
         blue(COLORED_MODEL)
+
+
+def test_deferred_e_unwhitens_only_tall_matrices(monkeypatch):
+    # reading E of the nullspace form unwhitens the n0-row reduced map, never
+    # the wide lifted one
+    from cblue.numerics import half_solve
+
+    shapes = []
+
+    def recording_half_solve(factor, rhs, adjoint=False):
+        shapes.append(np.shape(rhs))
+        return half_solve(factor, rhs, adjoint)
+
+    for module in ("cblue.estimators", "cblue.model"):
+        monkeypatch.setattr(f"{module}.half_solve", recording_half_solve)
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        model, constraints, param = draw_instance(rng, overdetermined=False)
+        est = cblue(model, constraints)
+        assert est.label == "cblue_nullspace"
+        built = len(shapes)
+        est.E
+        assert shapes[built:] == [(model.n_y, param.n0)]
+    assert all(rows >= cols for rows, cols in shapes)
+
+
+def test_whitened_apply_unwhitens_once_for_a_wide_batch(monkeypatch):
+    # up to n_x columns each is whitened; a wider batch forms E once and every
+    # later measurement goes through it
+    import cblue.estimators as estimators
+
+    shapes = []
+    half_solve = estimators.half_solve
+
+    def recording_half_solve(factor, rhs, adjoint=False):
+        shapes.append(np.shape(rhs))
+        return half_solve(factor, rhs, adjoint)
+
+    rng = np.random.default_rng(48)
+    model, constraints, _ = draw_instance(rng)
+    est = cblue_direct(model, constraints)
+    n_x, n_y = model.n_x, model.n_y
+    y = rng.standard_normal((n_y, n_x + 1)) + 1j * rng.standard_normal((n_y, n_x + 1))
+    monkeypatch.setattr(estimators, "half_solve", recording_half_solve)
+    narrow = est.apply(y[:, :n_x])
+    assert shapes == [(n_y, n_x)]
+    wide = est.apply(y)
+    assert len(shapes) == 2
+    assert_array_equal(wide, est.E @ y + est.f[:, None])
+    assert np.linalg.norm(wide[:, :n_x] - narrow) <= 1e-12 * np.linalg.norm(narrow)
+    assert_array_equal(est.apply(y[:, 0]), est.E @ y[:, 0] + est.f)
+    assert len(shapes) == 2
+
+
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_deferred_estimator_and_covariance_pickle(overdetermined):
+    # pickling forms what is still unset; the copy holds the same values
+    import pickle
+
+    rng = np.random.default_rng(49)
+    model, constraints, _ = draw_instance(rng, overdetermined)
+    y = rng.standard_normal(model.n_y) + 1j * rng.standard_normal(model.n_y)
+    est = cblue(model, constraints)
+    result = covariance(est, model.C_nn)
+    est_copy = pickle.loads(pickle.dumps(est))
+    result_copy = pickle.loads(pickle.dumps(result))
+    assert_array_equal(est_copy.E, est.E)
+    assert_array_equal(est_copy.apply(y), est.apply(y))
+    assert est_copy.label == est.label
+    assert_array_equal(result_copy.C, result.C)
+    assert_array_equal(result_copy.per_element_variance, result.per_element_variance)
