@@ -19,11 +19,14 @@ The error covariance ``E C_nn E^H`` is then ``E_w E_w^H``: handed that very
 ``C_nn`` array, :func:`covariance` takes the per-element variances from the
 squared row norms of ``E_w`` and forms the full matrix only when it is first
 read; any other array, an equal copy included, takes the general product.
+Both are :func:`functools.cached_property` reads on private subclasses, so a
+failed read can be retried and a copy or pickle carries what is still unformed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .model import (
     parameterize,
 )
 from .numerics import (
+    _HERMITIAN_RTOL,
     HpdFactor,
     as_matrix,
     as_vector,
@@ -55,57 +59,24 @@ from .numerics import (
 )
 
 
-class _FormedOnRead:
-    """Base of a frozen dataclass whose private constructor may leave fields unset.
-
-    :meth:`_deferred` builds an instance without the public ``__init__``; each
-    field it leaves unset is formed by its function when first read and then
-    kept, so later reads are plain attribute reads.  The function is dropped
-    once it has run, and pickling or copying forms every field still unset.
-    """
-
-    @classmethod
-    def _deferred(cls, forms: dict, **values):
-        obj = object.__new__(cls)
-        for name, value in {**values, "_forms": forms}.items():
-            object.__setattr__(obj, name, value)
-        return obj
-
-    def __getattr__(self, name: str):
-        # reached only when ordinary lookup fails: an unset field or no such attribute
-        forms = self.__dict__.get("_forms", {})
-        form = forms.get(name)
-        if form is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = form()
-        object.__setattr__(self, name, value)
-        del forms[name]
-        return value
-
-    def __getstate__(self):
-        for name in list(self.__dict__.get("_forms", ())):
-            getattr(self, name)
-        return {name: value for name, value in self.__dict__.items() if name != "_forms"}
-
-
 @dataclass(frozen=True, eq=False)
-class AffineEstimator(_FormedOnRead):
+class AffineEstimator:
     """Estimator ``x_hat = E @ y + f`` with a label naming its kind.
 
     ``E_w`` and ``C_nn`` are set only by the whitened constructors: ``E_w = E @ L``
     is the estimator on the whitened model and ``C_nn = L @ L^H`` is the model's
     read-only noise covariance it was whitened against.  Otherwise both are None.
-    Such an estimator forms ``E`` on first read and keeps L.  It applies ``E_w`` to
-    ``L^-1 y`` until ``E`` is formed, or forms ``E`` for a matrix of more columns
-    than ``E`` has rows, where one unwhitening costs less than whitening each column.
+    Such an estimator is an instance of a private subclass that forms ``E`` on
+    first read and keeps L.  It applies ``E_w`` to ``L^-1 y`` until ``E`` is
+    formed, or forms ``E`` for a matrix of more columns than ``E`` has rows, where
+    one unwhitening costs less than whitening each column.
     """
 
     E: np.ndarray
     f: np.ndarray
     label: str
-    E_w: np.ndarray | None = field(init=False, default=None, repr=False)
-    C_nn: np.ndarray | None = field(init=False, default=None, repr=False)
-    _noise_factor: HpdFactor | None = field(init=False, default=None, repr=False)
+    E_w = None
+    C_nn = None
 
     def __post_init__(self):
         e = as_matrix(self.E, "estimator matrix")
@@ -143,11 +114,12 @@ class AffineEstimator(_FormedOnRead):
 
 
 @dataclass(frozen=True, eq=False)
-class CovarianceResult(_FormedOnRead):
+class CovarianceResult:
     """Estimator error covariance with its real diagonal split out.
 
-    :func:`covariance` of a whitened estimator against its own ``C_nn`` sets the
-    variances from the rows of ``E_w`` and forms ``C`` on first read.
+    Both checks are relative to the norm of ``C``.  :func:`covariance` of a
+    whitened estimator against its own ``C_nn`` returns a private subclass that
+    sets the variances from the rows of ``E_w`` and forms ``C`` on first read.
     """
 
     C: np.ndarray
@@ -158,15 +130,47 @@ class CovarianceResult(_FormedOnRead):
         if c.shape[0] != c.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {c.shape}")
         asymmetry, size, power = scaled_asymmetry(c)
-        scale = max(size, power)
-        if asymmetry > 1e-12 * scale:
+        if asymmetry > _HERMITIAN_RTOL * size:
             raise ValueError("covariance must be Hermitian")
         diag = c.diagonal().real.copy()
-        if (diag * power < -1e-12 * scale).any():
+        if (diag * power < -_HERMITIAN_RTOL * size).any():
             raise ValueError("covariance diagonal has negative entries")
         diag.flags.writeable = False
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "per_element_variance", diag)
+
+
+@dataclass(frozen=True, eq=False)
+class _WhitenedEstimator(AffineEstimator):
+    """Estimator with whitened map ``E_w = lift @ core_w``; E is formed on first read."""
+
+    @cached_property
+    def E(self):
+        # unwhitening before lifting solves against the reduced map, which has n0
+        # rows, so its adjoint is tall even when the model is underdetermined
+        e = _unwhitened(self._noise_factor, self._core_w)
+        e = as_matrix(e if self._lift is None else self._lift @ e, "estimator matrix")
+        del self.__dict__["_core_w"], self.__dict__["_lift"]
+        return e
+
+
+@dataclass(frozen=True, eq=False)
+class _WhitenedCovariance(CovarianceResult):
+    """``E_w E_w^H`` with its variances set; C is formed and checked on first read."""
+
+    @cached_property
+    def C(self):
+        e_w = self._E_w
+        c = CovarianceResult(hermitian_product("error covariance", e_w, e_w.conj().T)).C
+        del self.__dict__["_E_w"]
+        return c
+
+
+def _unformed(cls, **attributes):
+    """An instance of ``cls`` holding ``attributes``, built without ``__init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attributes)
+    return obj
 
 
 def _gram_factor(h: np.ndarray):
@@ -180,29 +184,20 @@ def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
 
 
 def _whitened_estimator(model: LinearModel, core_w, f, label: str, lift=None) -> AffineEstimator:
-    """Estimator with whitened map ``E_w = lift @ core_w`` (``core_w`` without a lift) and offset ``f``.
-
-    E is formed on first read as ``lift @ (core_w @ L^-1)``.  Unwhitening before
-    lifting solves against the reduced map, which has n0 rows, so its adjoint is
-    tall even when the model is underdetermined.
-    """
+    """Estimator with whitened map ``E_w = lift @ core_w`` (``core_w`` without a lift) and offset ``f``."""
     e_w = core_w if lift is None else lift @ core_w
     if not np.isfinite(e_w).all():
         raise ValueError("estimator matrix contains non-finite entries")
     e_w.flags.writeable = False
-    noise_factor = model.noise_factor
-
-    def form_e():
-        e = _unwhitened(noise_factor, core_w)
-        return as_matrix(e if lift is None else lift @ e, "estimator matrix")
-
-    return AffineEstimator._deferred(
-        {"E": form_e},
+    return _unformed(
+        _WhitenedEstimator,
         f=as_vector(f, "estimator offset"),
         label=label,
         E_w=e_w,
         C_nn=model.C_nn,
-        _noise_factor=noise_factor,
+        _noise_factor=model.noise_factor,
+        _core_w=core_w,
+        _lift=lift,
     )
 
 
@@ -298,10 +293,9 @@ def mean_subtracted(base: AffineEstimator) -> AffineEstimator:
     constraint ``ones @ x = 0`` and is the intuitive fix applied to
     unconstrained estimators in that setting.
     """
-    n_x = base.E.shape[0]
-    centering = np.eye(n_x) - np.full((n_x, n_x), 1.0 / n_x)
+    e, f = base.E, base.f
     return AffineEstimator(
-        E=centering @ base.E, f=centering @ base.f, label=base.label + "_meansub"
+        E=e - e.mean(axis=0), f=f - f.mean(), label=base.label + "_meansub"
     )
 
 
@@ -332,8 +326,18 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
     of ``E_w``, and its ``C`` is that product, formed and checked on first read.
     Any other array, an equal copy included, takes the general product.
     """
-    if est.E_w is not None and noise_cov is est.C_nn:
-        return _whitened_covariance(est.E_w)
+    e_w = est.E_w
+    if e_w is not None and noise_cov is est.C_nn:
+        with np.errstate(over="ignore", invalid="ignore"):
+            variance = np.einsum("ij,ij->i", e_w.real, e_w.real) + np.einsum(
+                "ij,ij->i", e_w.imag, e_w.imag
+            )
+        if not np.isfinite(variance).all():
+            raise EstimationError(
+                "error covariance is not finite in double precision; rescale the problem"
+            )
+        variance.flags.writeable = False
+        return _unformed(_WhitenedCovariance, per_element_variance=variance, _E_w=e_w)
     c = as_matrix(noise_cov, "noise covariance")
     if c.shape[0] != c.shape[1] or c.shape[0] != est.E.shape[1]:
         raise DimensionMismatch(
@@ -342,25 +346,6 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
         )
     return CovarianceResult(
         C=hermitian_product("error covariance", est.E, c, est.E.conj().T)
-    )
-
-
-def _whitened_covariance(e_w: np.ndarray) -> CovarianceResult:
-    """``CovarianceResult(E_w E_w^H)`` with its diagonal taken from the rows of ``e_w``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = np.einsum("ij,ij->i", e_w.real, e_w.real) + np.einsum(
-            "ij,ij->i", e_w.imag, e_w.imag
-        )
-    if not np.isfinite(variance).all():
-        raise EstimationError(
-            "error covariance is not finite in double precision; rescale the problem"
-        )
-    variance.flags.writeable = False
-    return CovarianceResult._deferred(
-        {"C": lambda: CovarianceResult(
-            hermitian_product("error covariance", e_w, e_w.conj().T)
-        ).C},
-        per_element_variance=variance,
     )
 
 

@@ -439,6 +439,17 @@ def test_covariance_result_hermitian_check_holds_at_large_scale():
     assert_allclose(result.per_element_variance, [2.0**601, 2.0**601], rtol=0)
 
 
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**-60, 1.0, 2.0**600])
+def test_covariance_result_checks_are_relative_to_its_norm(scale):
+    # far from Hermitian, or with a negative variance, at every scale
+    with pytest.raises(ValueError, match="Hermitian"):
+        CovarianceResult(np.array([[2.0, 1.0], [0.5, 2.0]]) * scale)
+    with pytest.raises(ValueError, match="negative"):
+        CovarianceResult(np.diag([1.0, -1e-3]) * scale)
+    result = CovarianceResult(np.array([[2.0, 1.0], [1.0, 2.0]]) * scale)
+    assert_array_equal(result.per_element_variance, [2.0 * scale, 2.0 * scale])
+
+
 def test_covariance_result_refuses_a_given_variance():
     # the variances are derived from C; a passed-in value would be discarded
     with pytest.raises(TypeError):
@@ -566,3 +577,73 @@ def test_deferred_estimator_and_covariance_pickle(overdetermined):
     assert est_copy.label == est.label
     assert_array_equal(result_copy.C, result.C)
     assert_array_equal(result_copy.per_element_variance, result.per_element_variance)
+
+
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_failed_deferred_read_can_be_retried(monkeypatch, overdetermined):
+    # a read that raises keeps what it needs, so the next read forms the value
+    # the constructors used to form eagerly
+    import cblue.estimators as estimators
+    from cblue.numerics import half_solve, hermitized, hpd_solve
+
+    class Injected(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise Injected
+
+    rng = np.random.default_rng(53)
+    model, constraints, param = draw_instance(rng, overdetermined)
+    est = cblue(model, constraints)
+    result = covariance(est, model.C_nn)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_unwhitened", fail)
+        patch.setattr(estimators, "hermitian_product", fail)
+        with pytest.raises(Injected):
+            est.E
+        with pytest.raises(Injected):
+            result.C
+    if overdetermined:
+        e = half_solve(model.noise_factor, est.E_w.conj().T, adjoint=True).conj().T
+    else:
+        w, factor = model.whitened_gram(model.H @ param.basis)
+        reduced_w = hpd_solve(factor, w.conj().T)
+        e = param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
+    assert_array_equal(est.E, e)
+    assert_array_equal(result.C, hermitized(est.E_w @ est.E_w.conj().T))
+
+
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_copying_a_deferred_estimator_forms_nothing(overdetermined):
+    # copies carry the unformed state; each forms the same E and C on its own read
+    import copy
+    import pickle
+
+    def copies(obj):
+        return [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+    rng = np.random.default_rng(59)
+    model, constraints, _ = draw_instance(rng, overdetermined)
+    est = cblue(model, constraints)
+    result = covariance(est, model.C_nn)
+    est_copies, result_copies = copies(est), copies(result)
+    assert "E" not in est.__dict__ and "C" not in result.__dict__
+    for twin in est_copies:
+        assert "E" not in twin.__dict__
+        assert_array_equal(twin.E, est.E)
+    for twin in result_copies:
+        assert "C" not in twin.__dict__
+        assert_array_equal(twin.C, result.C)
+        assert_array_equal(twin.per_element_variance, result.per_element_variance)
+
+
+def test_readme_quick_start_runs():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert_allclose(namespace["x_hat"], X_COLORED, rtol=1e-14)
+    assert_allclose(namespace["var"], [0.8, 0.8], rtol=1e-14)
