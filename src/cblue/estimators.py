@@ -175,7 +175,7 @@ def _unformed(cls, **attributes):
 
 def _gram_factor(h: np.ndarray):
     """Factor ``H^H H`` for the unwhitened least-squares estimators, or raise ``RankDeficient``."""
-    return gram_factor(RankDeficient, "measurement matrix", h.conj().T, h)
+    return gram_factor(RankDeficient, "measurement matrix", h)
 
 
 def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraint
     G is the least-squares Gram matrix, or the identity for plain projection.
     """
     a = constraints.A
-    s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", a, g)
+    s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", g, left=a)
     e = e_free - g @ hpd_solve(s_factor, a @ e_free)
     f = f_free - g @ hpd_solve(s_factor, a @ f_free - constraints.b)
     return e, f

@@ -9,6 +9,7 @@ and a particular solution, so that feasible vectors are exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import DimensionMismatch, EstimationError, RankDeficient, RankDefic
 from .numerics import (
     HpdFactor,
     _hermitian_gated_factor,
+    _lower_gram,
     as_matrix,
     as_vector,
     gram_factor,
@@ -71,7 +73,7 @@ class LinearModel:
         its shape alone.
         """
         w = m if m.shape[0] < m.shape[1] else half_solve(self.noise_factor, m)
-        return w, gram_factor(rank_error, subject, w.conj().T, w)
+        return w, gram_factor(rank_error, subject, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +133,12 @@ class NullspaceParam:
                 f"basis has {basis.shape[0]} rows"
             )
         n0 = basis.shape[1]
-        gram = basis.conj().T @ basis
-        if np.linalg.norm(gram - np.eye(n0)) > 1e-10 * np.sqrt(n0):
+        # ||N^H N - I||_F from the lower triangle: each strictly-lower entry counts twice
+        gram = _lower_gram(basis)
+        diag = gram.diagonal() - 1.0
+        np.fill_diagonal(gram, 0.0)
+        defect = math.hypot(np.linalg.norm(diag), math.sqrt(2.0) * np.linalg.norm(gram))
+        if not defect <= 1e-10 * math.sqrt(n0):
             raise ValueError("nullspace basis columns must be orthonormal")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "particular", particular)

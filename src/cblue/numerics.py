@@ -5,6 +5,13 @@ checked Hermitian products, Cholesky factors of Hermitian positive definite
 matrices and triangular solves against them, orthonormal nullspace bases,
 and least-norm solutions of underdetermined systems.  All routines accept
 real input and promote it to complex.
+
+The Gram matrix ``W^H W`` of one matrix is formed by the BLAS Hermitian
+rank-k update ``zherk``, which fills its lower triangle only, at half the
+flops of a general product.  Every Cholesky factor comes from LAPACK's
+``zpotrf``, which reads that lower triangle and returns a Fortran-order
+lower factor, the layout ``ztrtrs`` solves against.  A Gram matrix made
+here is factored in place; an array from a caller is factored in a copy.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import ztrtrs
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpotrf, ztrtrs
 
 from .errors import (
     DimensionMismatch,
@@ -71,10 +79,19 @@ def hermitian_product(what: str, *factors: np.ndarray) -> np.ndarray:
     ``ValueError`` from the next consumer.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        product = hermitized(functools.reduce(operator.matmul, factors))
-    if not np.isfinite(product).all():
+        return _finite(what, hermitized(functools.reduce(operator.matmul, factors)))
+
+
+def _finite(what: str, m: np.ndarray) -> np.ndarray:
+    """``m``, or ``EstimationError`` naming ``what`` if an entry is not finite."""
+    if not np.isfinite(m).all():
         raise EstimationError(f"{what} is not finite in double precision; rescale the problem")
-    return product
+    return m
+
+
+def _lower_gram(w: np.ndarray) -> np.ndarray:
+    """New Fortran-order array holding the lower triangle of ``w^H w``, zero above it."""
+    return zherk(1.0, w, trans=2, lower=1)
 
 
 def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
@@ -140,35 +157,45 @@ def _hermitian_gated_factor(arr: np.ndarray) -> HpdFactor:
     return _pivot_gated_factor(arr)
 
 
-def _pivot_gated_factor(arr: np.ndarray) -> HpdFactor:
-    """Cholesky factor of a finite, exactly Hermitian ``arr`` under the package's one pivot gate."""
-    try:
-        lower = np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
-    pivots = np.square(lower.diagonal().real)
+def _pivot_gated_factor(arr: np.ndarray, overwrite: bool = False) -> HpdFactor:
+    """Cholesky factor of the finite Hermitian matrix whose lower triangle ``arr`` holds.
+
+    One pivot gate serves the package.  ``overwrite`` factors ``arr`` in place: pass
+    it only for a private Fortran-order array such as the Gram :func:`gram_factor`
+    forms, never for an array that came from outside the package.
+    """
     threshold = arr.shape[0] * _EPS * max(arr.diagonal().real.max(), 0.0)
+    lower, info = zpotrf(arr, lower=1, clean=1, overwrite_a=overwrite)
+    if info:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    pivots = np.square(lower.diagonal().real)
     if (pivots <= threshold).any():
         raise NotPositiveDefinite(
             f"matrix is numerically semidefinite: pivot {pivots.min():.3e} "
             f"at or below threshold {threshold:.3e}"
         )
-    lower = np.asfortranarray(lower)
     lower.flags.writeable = False
     return HpdFactor(lower=lower)
 
 
-def gram_factor(rank_error: type[EstimationError], subject: str, *factors) -> HpdFactor:
-    """Factor the Gram matrix of ``subject``, the product of ``factors``, or raise ``rank_error``.
+def gram_factor(rank_error: type[EstimationError], subject: str, w, left=None) -> HpdFactor:
+    """Factor the Gram matrix ``w^H w`` of ``subject``, or ``left @ w``, or raise ``rank_error``.
 
-    The pivot gate of :func:`hpd_factor` decides rank; a last factor with fewer
-    rows than columns cannot give a full-rank product and is refused unformed.
+    ``w^H w`` is formed by ``zherk`` into a private lower triangle, checked finite
+    and factored in place.  ``left @ w``, a product of two different factors such
+    as ``A (G^-1 A^H)`` in the constraint step, is formed whole by
+    :func:`hermitian_product`.  The pivot gate of :func:`hpd_factor` decides rank;
+    a ``w`` with fewer rows than columns cannot give a full-rank product and is
+    refused unformed.
     """
-    n_rows, n_cols = factors[-1].shape
+    n_rows, n_cols = w.shape
     if n_rows < n_cols:
         raise rank_error(f"{subject} has rank at most {n_rows}, below full rank {n_cols}")
+    what = f"Gram matrix of the {subject}"
     try:
-        return _pivot_gated_factor(hermitian_product(f"Gram matrix of the {subject}", *factors))
+        if left is not None:
+            return _pivot_gated_factor(hermitian_product(what, left, w))
+        return _pivot_gated_factor(_finite(what, _lower_gram(w)), overwrite=True)
     except NotPositiveDefinite as exc:
         raise rank_error(f"{subject} is numerically rank deficient") from exc
 
@@ -244,5 +271,6 @@ def least_norm_solution(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side has {rhs.shape[0]} entries, constraint matrix has {arr.shape[0]} rows"
         )
-    factor = gram_factor(RankDeficientConstraints, "constraint matrix", arr, arr.conj().T)
-    return arr.conj().T @ hpd_solve(factor, rhs)
+    adjoint = arr.conj().T
+    factor = gram_factor(RankDeficientConstraints, "constraint matrix", adjoint)
+    return adjoint @ hpd_solve(factor, rhs)

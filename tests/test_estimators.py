@@ -562,7 +562,7 @@ def test_whitened_apply_unwhitens_once_for_a_wide_batch(monkeypatch):
 
 @pytest.mark.parametrize("overdetermined", [True, False])
 def test_deferred_estimator_and_covariance_pickle(overdetermined):
-    # pickling forms what is still unset; the copy holds the same values
+    # a pickled copy carries what is still unformed and reads the same values
     import pickle
 
     rng = np.random.default_rng(49)

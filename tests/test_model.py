@@ -17,6 +17,7 @@ from cblue.model import (
     parameterize,
     validate,
 )
+from cblue.numerics import nullspace_basis
 
 
 def make_model(rng, n_y, n_x):
@@ -168,6 +169,35 @@ def test_parameterize_rejects_infeasible_particular():
 def test_nullspace_param_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         NullspaceParam(np.array([[1.0], [1.0]]), np.zeros(2))
+
+
+def test_nullspace_param_refuses_a_basis_whose_gram_overflows():
+    # N^H N is inf on the diagonal and inf - inf = nan off it; a nan defect is
+    # no pass
+    basis = np.array([[1e200, 1e200], [1e200, -1e200], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="orthonormal"):
+        NullspaceParam(basis, np.zeros(3))
+
+
+@pytest.mark.parametrize("off_diagonal", [False, True])
+def test_nullspace_param_orthonormality_tolerance_boundary(off_diagonal):
+    # scaling column 2 by s puts s^2 - 1 on the diagonal of N^H N - I; adding e
+    # times column 0 to it puts e at (0, 2) and (2, 0), so ||N^H N - I||_F ~ sqrt(2) e
+    rng = np.random.default_rng(83)
+    a = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    basis = nullspace_basis(a)
+    tolerance = 1e-10 * np.sqrt(basis.shape[1])
+    for factor, accepted in ((0.99, True), (1.01, False)):
+        scaled = basis.copy()
+        if off_diagonal:
+            scaled[:, 2] += factor * tolerance / np.sqrt(2.0) * basis[:, 0]
+        else:
+            scaled[:, 2] *= np.sqrt(1.0 + factor * tolerance)
+        if accepted:
+            NullspaceParam(scaled, np.zeros(8))
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                NullspaceParam(scaled, np.zeros(8))
 
 
 def test_validate_overdetermined():

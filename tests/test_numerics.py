@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cblue.numerics as numerics
 from cblue.errors import (
     DimensionMismatch,
     EmptyNullspace,
+    EstimationError,
     NotPositiveDefinite,
+    RankDeficient,
     RankDeficientConstraints,
 )
+from cblue.model import LinearModel
 from cblue.numerics import (
     HpdFactor,
+    gram_factor,
     half_solve,
+    hermitized,
     hpd_factor,
     hpd_solve,
     least_norm_solution,
@@ -262,3 +268,76 @@ def test_scaled_asymmetry_matches_the_whole_matrix_difference(n):
     lone[n - 1, 0] += 1e-3
     asymmetry, _, power = scaled_asymmetry(lone)
     assert_allclose(asymmetry, np.sqrt(2.0) * 1e-3 * power, rtol=1e-9)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("shape", [(40, 30), (30, 30)])
+def test_gram_factor_reproduces_the_hermitized_product(order, kind, shape):
+    rng = np.random.default_rng(71)
+    w = rng.standard_normal(shape)
+    if kind is complex:
+        w = w + 1j * rng.standard_normal(shape)
+    w = np.asarray(w, order=order)
+    before = w.copy()
+    lower = gram_factor(RankDeficient, "test matrix", w).lower
+    gram = hermitized(w.conj().T @ w)
+    assert np.linalg.norm(lower @ lower.conj().T - gram) <= 1e-14 * np.linalg.norm(gram)
+    assert np.array_equal(w, before)
+
+
+def test_gram_factor_refuses_a_wide_matrix_unformed(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("product formed")
+
+    monkeypatch.setattr(numerics, "zherk", refuse)
+    monkeypatch.setattr(numerics, "hermitian_product", refuse)
+    with pytest.raises(RankDeficient, match="rank at most 3, below full rank 4"):
+        gram_factor(RankDeficient, "test matrix", np.ones((3, 4), complex))
+
+
+def test_gram_factor_refuses_a_non_finite_gram():
+    w = np.full((3, 2), 2.0**600, complex)
+    with pytest.raises(EstimationError, match="not finite in double precision"):
+        gram_factor(RankDeficient, "test matrix", w)
+
+
+@pytest.mark.parametrize("make", ["hpd_factor", "gram_factor"])
+def test_factor_is_fortran_ordered_read_only_and_lower(make):
+    rng = np.random.default_rng(61)
+    if make == "hpd_factor":
+        lower = hpd_factor(random_hpd(rng, 6)).lower
+    else:
+        w = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
+        lower = gram_factor(RankDeficient, "test matrix", w).lower
+    assert lower.flags.f_contiguous and not lower.flags.writeable
+    assert lower.dtype == np.complex128
+    assert np.all(np.triu(lower, 1) == 0)
+
+
+def test_indefinite_input_is_refused_by_the_lapack_info(monkeypatch):
+    infos = []
+    zpotrf = numerics.zpotrf
+
+    def recording_zpotrf(*args, **kwargs):
+        lower, info = zpotrf(*args, **kwargs)
+        infos.append(info)
+        return lower, info
+
+    monkeypatch.setattr(numerics, "zpotrf", recording_zpotrf)
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        hpd_factor(np.diag([1.0, 2.0, -1.0]))
+    assert infos == [3]
+
+
+def test_factoring_leaves_a_writable_fortran_input_unchanged():
+    rng = np.random.default_rng(67)
+    c = np.asfortranarray(random_hpd(rng, 7))
+    h = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    before = c.copy(order="F")
+    assert c.flags.writeable and c.flags.f_contiguous
+    hpd_factor(c)
+    assert np.array_equal(c, before)
+    model = LinearModel(h, c)
+    assert np.array_equal(c, before)
+    assert np.array_equal(model.C_nn, before)
