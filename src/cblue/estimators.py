@@ -5,10 +5,12 @@ least squares on a white-noise model matrix: H for least squares, ``L^-1 H``
 for the best linear unbiased estimator (BLUE, with ``C_nn = L @ L^H``), and
 ``L^-1 H N`` for the nullspace form of the constrained BLUE, where N spans the
 constraint nullspace.  Constrained least squares and the direct form of the
-constrained BLUE add one shared constraint step that enforces ``A @ x = b``
-exactly.  The nullspace form works whenever ``H N`` has full column rank,
-which includes underdetermined models; the direct form needs H itself to
-have full column rank.
+constrained BLUE add :func:`~cblue.numerics.constraint_step`, which enforces
+``A @ x = b`` by an orthogonal projection in the coordinates ``u = R x``, where
+``R^H R`` is their Gram matrix; :func:`project_onto_constraints` takes the same
+step with R the identity.  The nullspace form works whenever ``H N`` has full
+column rank, which includes underdetermined models; the direct form needs H
+itself to have full column rank.
 
 The whitened constructors (BLUE and both constrained BLUE forms) build the
 estimator ``E_w`` of the whitened model ``L^-1 y = L^-1 H x + w`` and keep it
@@ -34,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     EstimationError,
     RankDeficient,
-    RankDeficientConstraints,
     RankDeficientReducedModel,
     SingularKktSystem,
 )
@@ -51,6 +52,7 @@ from .numerics import (
     HpdFactor,
     as_matrix,
     as_vector,
+    constraint_step,
     gram_factor,
     half_solve,
     hermitian_product,
@@ -201,24 +203,6 @@ def _whitened_estimator(model: LinearModel, core_w, f, label: str, lift=None) ->
     )
 
 
-def _constrain(e_free: np.ndarray, f_free: np.ndarray, g: np.ndarray, constraints: ConstraintSet):
-    """Project the estimator ``(e_free, f_free)`` onto ``A @ x = b`` along ``g = G^-1 A^H``.
-
-    G is the least-squares Gram matrix, or the identity for plain projection.
-    """
-    a = constraints.A
-    s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", g, left=a)
-    e = e_free - g @ hpd_solve(s_factor, a @ e_free)
-    f = f_free - g @ hpd_solve(s_factor, a @ f_free - constraints.b)
-    return e, f
-
-
-def _constrained_ls(factor, e_free: np.ndarray, constraints: ConstraintSet):
-    """Constrain ``e_free = G^-1 @ B`` in the geometry of G, given its Cholesky ``factor``."""
-    g = hpd_solve(factor, constraints.A.conj().T)
-    return _constrain(e_free, np.zeros(factor.dim), g, constraints)
-
-
 def ls(model: LinearModel) -> AffineEstimator:
     """Ordinary least squares; needs a full-column-rank measurement matrix."""
     e = hpd_solve(_gram_factor(model.H), model.H.conj().T)
@@ -236,7 +220,8 @@ def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
     """Least squares restricted to the constraint set ``A @ x = b``."""
     _check_parameter_dims(model, constraints)
     factor = _gram_factor(model.H)
-    e, f = _constrained_ls(factor, hpd_solve(factor, model.H.conj().T), constraints)
+    m = half_solve(factor, model.H.conj().T)
+    e, f = constraint_step(constraints.A, constraints.b, m, factor)
     return AffineEstimator(E=e, f=f, label="cls")
 
 
@@ -248,7 +233,8 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     """
     _check_parameter_dims(model, constraints)
     w, factor = model.whitened_gram(model.H)
-    e_w, f = _constrained_ls(factor, hpd_solve(factor, w.conj().T), constraints)
+    m = half_solve(factor, w.conj().T)
+    e_w, f = constraint_step(constraints.A, constraints.b, m, factor)
     return _whitened_estimator(model, e_w, f, "cblue_direct")
 
 
@@ -313,8 +299,8 @@ def project_onto_constraints(
             f"constraints act on {a.shape[1]} parameters, estimator returns "
             f"{base.E.shape[0]}"
         )
-    e, f = _constrain(base.E, base.f, a.conj().T, constraints)
-    return AffineEstimator(E=e, f=f, label=base.label + "_projected")
+    e, p = constraint_step(a, constraints.b, np.column_stack([base.E, base.f]))
+    return AffineEstimator(E=e[:, :-1], f=e[:, -1] + p, label=base.label + "_projected")
 
 
 def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
@@ -355,7 +341,8 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     Pass a :class:`NullspaceParam` for the reduced form
     ``N (N^H P N)^-1 N^H`` or a :class:`ConstraintSet` for the full-rank form
     ``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1``; the two agree whenever both
-    are defined.
+    are defined.  The full-rank form is ``T T^H``, with ``T = R^-1 (I - Q Q^H)`` the
+    constraint step applied to ``R^-1`` for ``P = R^H R``: nothing cancels.
     """
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis
@@ -367,8 +354,8 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)
         _, factor = model.whitened_gram(model.H)
-        cov, _ = _constrained_ls(factor, hpd_solve(factor, np.eye(model.n_x)), constraints)
-        return CovarianceResult(C=hermitian_product("error covariance", cov))
+        t, _ = constraint_step(constraints.A, constraints.b, np.eye(model.n_x), factor)
+        return CovarianceResult(C=hermitian_product("error covariance", t, t.conj().T))
     raise TypeError(
         "expected a ConstraintSet or NullspaceParam, got "
         f"{type(constraints_or_param).__name__}"

@@ -3,15 +3,17 @@
 Everything downstream funnels its matrix work through the helpers here:
 checked Hermitian products, Cholesky factors of Hermitian positive definite
 matrices and triangular solves against them, orthonormal nullspace bases,
-and least-norm solutions of underdetermined systems.  All routines accept
-real input and promote it to complex.
+and the constraint step: the orthogonal projection onto ``A @ x = b`` that
+every constrained map and every least-norm solution comes from.  All
+routines accept real input and promote it to complex.
 
-The Gram matrix ``W^H W`` of one matrix is formed by the BLAS Hermitian
-rank-k update ``zherk``, which fills its lower triangle only, at half the
-flops of a general product.  Every Cholesky factor comes from LAPACK's
-``zpotrf``, which reads that lower triangle and returns a Fortran-order
-lower factor, the layout ``ztrtrs`` solves against.  A Gram matrix made
-here is factored in place; an array from a caller is factored in a copy.
+Every Gram matrix, the constraint step's included, is ``W^H W`` of one matrix
+W, formed by the BLAS Hermitian rank-k update ``zherk``, which fills its lower
+triangle only, at half the flops of a general product.  Every Cholesky factor
+comes from LAPACK's ``zpotrf``, which reads that lower triangle and returns a
+Fortran-order lower factor, the layout ``ztrtrs`` solves against.  A Gram
+matrix made here is factored in place; an array from a caller is factored in
+a copy.
 """
 
 from __future__ import annotations
@@ -178,14 +180,12 @@ def _pivot_gated_factor(arr: np.ndarray, overwrite: bool = False) -> HpdFactor:
     return HpdFactor(lower=lower)
 
 
-def gram_factor(rank_error: type[EstimationError], subject: str, w, left=None) -> HpdFactor:
-    """Factor the Gram matrix ``w^H w`` of ``subject``, or ``left @ w``, or raise ``rank_error``.
+def gram_factor(rank_error: type[EstimationError], subject: str, w) -> HpdFactor:
+    """Factor the Gram matrix ``w^H w`` of ``subject``, or raise ``rank_error``.
 
     ``w^H w`` is formed by ``zherk`` into a private lower triangle, checked finite
-    and factored in place.  ``left @ w``, a product of two different factors such
-    as ``A (G^-1 A^H)`` in the constraint step, is formed whole by
-    :func:`hermitian_product`.  The pivot gate of :func:`hpd_factor` decides rank;
-    a ``w`` with fewer rows than columns cannot give a full-rank product and is
+    and factored in place.  The pivot gate of :func:`hpd_factor` decides rank; a
+    ``w`` with fewer rows than columns cannot give a full-rank product and is
     refused unformed.
     """
     n_rows, n_cols = w.shape
@@ -193,8 +193,6 @@ def gram_factor(rank_error: type[EstimationError], subject: str, w, left=None) -
         raise rank_error(f"{subject} has rank at most {n_rows}, below full rank {n_cols}")
     what = f"Gram matrix of the {subject}"
     try:
-        if left is not None:
-            return _pivot_gated_factor(hermitian_product(what, left, w))
         return _pivot_gated_factor(_finite(what, _lower_gram(w)), overwrite=True)
     except NotPositiveDefinite as exc:
         raise rank_error(f"{subject} is numerically rank deficient") from exc
@@ -263,6 +261,27 @@ def nullspace_basis(a) -> np.ndarray:
     return basis
 
 
+def constraint_step(a, b, m, factor: HpdFactor | None = None):
+    """Project the map ``u = m y`` onto ``a @ x = b`` in the coordinates ``u = L^H x``.
+
+    L is the lower ``factor`` of the geometry's Gram matrix, or the identity if None.
+    With ``Z^H = L^-1 a^H``, :func:`gram_factor` factors ``Z Z^H = L_S L_S^H`` and
+    decides its rank, and ``Q = Z^H L_S^-H`` has orthonormal columns.  Returns the
+    projected map ``m - Q (Q^H m)`` and its offset ``p = Q L_S^-1 b``, the least-norm
+    solution of ``Z u = b``, both in x (``L^-H`` times each).  A free offset is
+    projected as one more column of ``m``.
+    """
+    zh = a.conj().T if factor is None else half_solve(factor, a.conj().T)
+    s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", zh)
+    q_adjoint = half_solve(s_factor, zh.conj().T)
+    q = q_adjoint.conj().T
+    e = m - q @ (q_adjoint @ m)
+    p = q @ half_solve(s_factor, b)
+    if factor is None:
+        return e, p
+    return half_solve(factor, e, adjoint=True), half_solve(factor, p, adjoint=True)
+
+
 def least_norm_solution(a, b) -> np.ndarray:
     """Minimum-norm solution of ``a @ x = b`` for a full-row-rank ``a``."""
     arr = as_matrix(a, "constraint matrix")
@@ -271,6 +290,4 @@ def least_norm_solution(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side has {rhs.shape[0]} entries, constraint matrix has {arr.shape[0]} rows"
         )
-    adjoint = arr.conj().T
-    factor = gram_factor(RankDeficientConstraints, "constraint matrix", adjoint)
-    return adjoint @ hpd_solve(factor, rhs)
+    return constraint_step(arr, rhs, np.zeros((arr.shape[1], 0)))[1]

@@ -83,11 +83,6 @@ def test_cblue_beats_listed_competitors():
     _assert_passes(check_variance_optimality, 60, 110)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="suite seed 331, instance 39 (cond P = 1.9e7): the full-rank covariance form "
-    "is off by 2.5e-9 against the 1e-9 tolerance; ROADMAP item 4",
-)
 def test_covariance_formulas_agree_at_suite_seed_331():
     # the substream run_suite(50, 331) gives this property
     index = cblue.verify._SUITE.index(check_covariance_formula_agreement)

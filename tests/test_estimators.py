@@ -9,6 +9,7 @@ from cblue.errors import (
     DimensionMismatch,
     EstimationError,
     RankDeficient,
+    RankDeficientConstraints,
     RankDeficientReducedModel,
     SingularKktSystem,
 )
@@ -28,6 +29,7 @@ from cblue.estimators import (
     project_onto_constraints,
 )
 from cblue.model import ConstraintSet, LinearModel, parameterize
+from cblue.numerics import least_norm_solution
 from cblue.verify import random_instance
 
 
@@ -146,6 +148,33 @@ def test_cls_refuses_underdetermined():
     with pytest.raises(RankDeficient) as excinfo:
         cls(model, constraints)
     assert "rank" in str(excinfo.value)
+
+
+CONSTRAINED_BUILDERS = {
+    "cls": cls,
+    "cblue_direct": cblue_direct,
+    "projected_ls": lambda model, constraints: project_onto_constraints(ls(model), constraints),
+    "least_norm": lambda model, constraints: least_norm_solution(constraints.A, constraints.b),
+    "analytic_covariance": analytic_cblue_covariance,
+}
+
+
+@pytest.mark.parametrize("build", CONSTRAINED_BUILDERS.values(), ids=CONSTRAINED_BUILDERS)
+@pytest.mark.parametrize("s, accepted", [(1e-7, True), (1e-10, False)])
+def test_constraint_step_rank_gate(build, s, accepted):
+    # A = Q1 diag(1, s) Q2^H: the SVD rule of ConstraintSet accepts both values
+    # of s, while the constraint Gram squares s and its pivot gate refuses 1e-10
+    rng = np.random.default_rng(53)
+    q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = q1 @ np.diag([1.0, s]) @ q2[:, :2].T
+    constraints = ConstraintSet(a, np.array([1.0, 2.0]))
+    model = LinearModel(np.vstack([np.eye(6), np.eye(6)]), np.diag(np.linspace(1.0, 3.0, 12)))
+    if accepted:
+        build(model, constraints)
+    else:
+        with pytest.raises(RankDeficientConstraints):
+            build(model, constraints)
 
 
 def test_cblue_never_whitens_a_wide_matrix(monkeypatch):

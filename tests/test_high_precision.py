@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cblue.estimators import blue, cblue_direct, cblue_nullspace, covariance
+import cblue.verify
+from cblue.estimators import (
+    analytic_cblue_covariance,
+    blue,
+    cblue_direct,
+    cblue_nullspace,
+    covariance,
+)
 from cblue.model import ConstraintSet, LinearModel, parameterize
+from cblue.verify import check_covariance_formula_agreement, random_instance
 
 
 def _mp(arr) -> mpmath.matrix:
@@ -32,30 +40,39 @@ def _instance():
     return gaussian(8, 5), c_nn, gaussian(2, 5), gaussian(2), gaussian(8)
 
 
+def _closed_forms(h, c_nn, a, b):
+    """``H``, ``C^-1 H``, ``P = H^H C^-1 H``, ``x_p`` and ``M`` at the working precision.
+
+    ``M = N (N^H P N)^-1 N^H``, with the exact nullspace basis ``N = [-A_1^-1 A_2; I]``
+    and ``x_p = [A_1^-1 b; 0]`` for the leading square block ``A_1`` of A.
+    """
+    n_b, n_x = a.shape
+    hm, am = _mp(h), _mp(a)
+    weighted_h = _mp(c_nn) ** -1 * hm
+    p = hm.H * weighted_h
+    a1_inv = am[:, :n_b] ** -1
+    n = mpmath.matrix(n_x, n_x - n_b)
+    n[:n_b, :] = -a1_inv * am[:, n_b:]
+    n[n_b:, :] = mpmath.eye(n_x - n_b)
+    xp = mpmath.matrix(n_x, 1)
+    xp[:n_b, 0] = a1_inv * _mp(b)
+    return hm, weighted_h, p, xp, n * (n.H * p * n) ** -1 * n.H
+
+
 def _references(h, c_nn, a, b, y):
     """Variances and estimates of BLUE and of the constrained BLUE at 50 digits.
 
-    BLUE: ``P^-1`` and ``P^-1 H^H C^-1 y`` with ``P = H^H C^-1 H``.  Constrained:
-    ``M = N (N^H P N)^-1 N^H`` and ``x_p + M H^H C^-1 (y - H x_p)``, with the exact
-    nullspace basis ``N = [-A_1^-1 A_2; I]`` and ``x_p = [A_1^-1 b; 0]`` for the
-    leading square block ``A_1`` of A.
+    BLUE: ``P^-1`` and ``P^-1 H^H C^-1 y``.  Constrained: ``M`` and
+    ``x_p + M H^H C^-1 (y - H x_p)``, from :func:`_closed_forms`.
     """
     with mpmath.workdps(50):
-        hm, am, bm, ym = _mp(h), _mp(a), _mp(b), _mp(y)
-        weighted_h = _mp(c_nn) ** -1 * hm
-        p = hm.H * weighted_h
+        hm, weighted_h, p, xp, m = _closed_forms(h, c_nn, a, b)
+        ym = _mp(y)
         p_inv = p**-1
-        a1_inv = am[:, :2] ** -1
-        n = mpmath.matrix(5, 3)
-        n[:2, :] = -a1_inv * am[:, 2:]
-        n[2:, :] = mpmath.eye(3)
-        xp = mpmath.matrix(5, 1)
-        xp[:2, 0] = a1_inv * bm
-        m = n * (n.H * p * n) ** -1 * n.H
         blue_x = p_inv * weighted_h.H * ym
         cblue_x = xp + m * weighted_h.H * (ym - hm * xp)
         variances = [
-            np.array([float(mpmath.re(cov[i, i])) for i in range(5)]) for cov in (p_inv, m)
+            np.array([float(mpmath.re(cov[i, i])) for i in range(cov.rows)]) for cov in (p_inv, m)
         ]
         return (variances[0], _column(blue_x)), (variances[1], _column(cblue_x))
 
@@ -78,3 +95,49 @@ def test_whitened_estimators_match_high_precision_closed_form(build):
     variance, estimate = blue_ref if est.label == "blue" else cblue_ref
     assert_allclose(covariance(est, model.C_nn).per_element_variance, variance, rtol=1e-12)
     assert_allclose(est.apply(y), estimate, rtol=1e-12)
+
+
+def _suite_seed_331_instance():
+    """Instance 39 of ``run_suite(50, 331)``'s covariance-formula-agreement substream.
+
+    A 6 x 6 H with five constraints and cond P = 1.9e7, where a subtraction form of
+    the full-rank covariance loses 2.6e-9 relative.
+    """
+    index = cblue.verify._SUITE.index(check_covariance_formula_agreement)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=331, spawn_key=(index,)))
+    for _ in range(40):
+        model, constraints = random_instance(rng)
+    return model, constraints
+
+
+def _reference_covariance(model, constraints) -> np.ndarray:
+    """``M`` of :func:`_closed_forms` at 50 digits, rounded to double precision."""
+    with mpmath.workdps(50):
+        m = _closed_forms(model.H, model.C_nn, constraints.A, constraints.b)[-1]
+        return np.array(m.tolist(), dtype=complex)
+
+
+FULL_RANK_COVARIANCE = {
+    "analytic": analytic_cblue_covariance,
+    "cblue_direct": lambda model, constraints: covariance(
+        cblue_direct(model, constraints), model.C_nn
+    ),
+}
+
+
+@pytest.mark.parametrize("route", FULL_RANK_COVARIANCE.values(), ids=FULL_RANK_COVARIANCE)
+def test_full_rank_covariance_matches_high_precision_closed_form(route):
+    h, c_nn, a, b, _ = _instance()
+    model, constraints = LinearModel(h, c_nn), ConstraintSet(a, b)
+    assert_allclose(
+        route(model, constraints).C, _reference_covariance(model, constraints), rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize("route", FULL_RANK_COVARIANCE.values(), ids=FULL_RANK_COVARIANCE)
+def test_full_rank_covariance_at_suite_seed_331_matches_high_precision(route):
+    model, constraints = _suite_seed_331_instance()
+    assert (model.n_x, constraints.n_b) == (6, 5)
+    reference = _reference_covariance(model, constraints)
+    error = np.linalg.norm(route(model, constraints).C - reference) / np.linalg.norm(reference)
+    assert error <= 1e-11
