@@ -21,6 +21,7 @@ from .estimators import blue, cblue, cblue_direct, cblue_nullspace, cls, covaria
 from .fileio import FileFormatError
 from .model import ConstraintSet, LinearModel, parameterize
 from .montecarlo import run_experiment
+from .numerics import reciprocal_power
 from .verify import SuiteArgumentError, run_suite
 
 _CHART_STYLE = (
@@ -46,6 +47,18 @@ def _build_estimator(method: str, model: LinearModel, constraints: ConstraintSet
     return _METHODS[method](model, constraints)
 
 
+def _residual_norm(a, x, b) -> float:
+    """``|a x - b|``, formed with x and b scaled by the power of 2 nearest ``1 / max|x, b|``.
+
+    The scaling is exact, so the result overflows only if the norm itself is beyond
+    double range, and it equals the unscaled norm wherever that one neither
+    overflows nor underflows.
+    """
+    power = reciprocal_power(float(np.abs(np.concatenate([x, b]).view(np.float64)).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(a @ (x * power) - b * power)) / power
+
+
 def _cmd_estimate(args) -> int:
     h = fileio.load_matrix(args.H)
     c_nn = fileio.load_matrix(args.Cnn)
@@ -61,7 +74,7 @@ def _cmd_estimate(args) -> int:
     print(f"form = {estimator.label}")
     for index, value in enumerate(x_hat):
         print(f"x_hat[{index}] = ({value.real:.15e}, {value.imag:.15e})")
-    residual = float(np.linalg.norm(constraints.A @ x_hat - constraints.b))
+    residual = _residual_norm(constraints.A, x_hat, constraints.b)
     print(f"constraint_residual = {residual:.6e}")
     for index, value in enumerate(variances):
         print(f"variance[{index}] = {value:.15e}")
@@ -112,10 +125,14 @@ def _cmd_verify(args) -> int:
     name_width = max(len(result.name) for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        print(
+        line = (
             f"{result.name:<{name_width}}  {status}  worst residual "
             f"{result.worst:9.3e}  (tol {result.tol:.0e}, {result.instances} instances)"
         )
+        if not result.passed:
+            n_y, n_x, n_b = result.worst_shape
+            line += f"  worst at instance {result.worst_index}: n_y {n_y}, n_x {n_x}, n_b {n_b}"
+        print(line)
     passed = sum(result.passed for result in results)
     print(f"verification: {passed}/{len(results)} properties passed")
     return 0 if passed == len(results) else 1

@@ -12,17 +12,26 @@ step with R the identity.  The nullspace form works whenever ``H N`` has full
 column rank, which includes underdetermined models; the direct form needs H
 itself to have full column rank.
 
-The whitened constructors (BLUE and both constrained BLUE forms) build the
-estimator ``E_w`` of the whitened model ``L^-1 y = L^-1 H x + w`` and keep it
-with the model's own ``C_nn`` array and its factor L.  They apply it as
-``E_w (L^-1 y) + f`` and form ``E = E_w L^-1`` only when it is first read or a
-batch of measurements is wide enough that forming it costs less.
-The error covariance ``E C_nn E^H`` is then ``E_w E_w^H``: handed that very
-``C_nn`` array, :func:`covariance` takes the per-element variances from the
-squared row norms of ``E_w`` and forms the full matrix only when it is first
-read; any other array, an equal copy included, takes the general product.
-Both are :func:`functools.cached_property` reads on private subclasses, so a
-failed read can be retried and a copy or pickle carries what is still unformed.
+The whitened constructors (BLUE and both constrained BLUE forms) solve least
+squares on the whitened model ``L^-1 y = L^-1 H x + w`` and keep its factors,
+not its n_x x n_y map: the whitened matrix W, the Cholesky factor ``L_G`` of
+``W^H W``, the lift (the nullspace basis, or none), the offset f, the model's
+own ``C_nn`` array and its factor L.  The whitened map is
+``E_w = lift T T^H W^H``, where ``T = L_G^-H`` for BLUE and the nullspace form
+and ``T = L_G^-H (I - Q Q^H)``, the constraint step applied to ``L_G^-H``, for
+the direct form.  They apply it as ``lift T T^H W^H (L^-1 y) + f``, with two
+solves against ``L_G`` in place of the products with ``T = L_G^-H``, which
+costs O(n^2) per measurement vector.  ``E_w`` and ``E = E_w L^-1`` are formed,
+by the formulas the constructors once used, only when first read or when a
+batch of measurements is wide enough that forming E costs less; BLUE forms
+``E_w`` at construction, so a non-finite map is refused there.
+The error covariance ``E C_nn E^H`` is then ``E_w E_w^H = lift T T^H lift^H``:
+handed that very ``C_nn`` array, :func:`covariance` takes the per-element
+variances from the squared row norms of ``lift T`` and forms the full matrix
+``E_w E_w^H`` only when it is first read; any other array, an equal copy
+included, takes the general product.  The deferred reads are
+:func:`functools.cached_property` reads on private subclasses, so a failed
+read can be retried and a copy or pickle carries what is still unformed.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .numerics import (
     half_solve,
     hermitian_product,
     hpd_solve,
+    reciprocal_power,
     scaled_asymmetry,
 )
 
@@ -68,10 +78,12 @@ class AffineEstimator:
     ``E_w`` and ``C_nn`` are set only by the whitened constructors: ``E_w = E @ L``
     is the estimator on the whitened model and ``C_nn = L @ L^H`` is the model's
     read-only noise covariance it was whitened against.  Otherwise both are None.
-    Such an estimator is an instance of a private subclass that forms ``E`` on
-    first read and keeps L.  It applies ``E_w`` to ``L^-1 y`` until ``E`` is
-    formed, or forms ``E`` for a matrix of more columns than ``E`` has rows, where
-    one unwhitening costs less than whitening each column.
+    Such an estimator is an instance of a private subclass that keeps the factors
+    of ``E_w`` and L, and forms ``E_w`` and ``E`` on first read.  It applies the
+    factors to ``L^-1 y`` until ``E`` is formed, or forms ``E`` for a matrix of
+    more columns than ``E`` has rows, where one unwhitening costs less than
+    whitening each column.  An estimate that leaves double precision raises
+    ``EstimationError``.
     """
 
     E: np.ndarray
@@ -94,7 +106,9 @@ class AffineEstimator:
     def apply(self, y) -> np.ndarray:
         """Estimate from a measurement vector, or column-wise from a matrix."""
         arr = np.asarray(y, dtype=np.complex128)
-        n_y = (self.E if self.E_w is None else self.E_w).shape[1]
+        # E is in the instance dict from the start, except on a whitened estimator before it is read
+        factored = "E" not in self.__dict__
+        n_y = self._w.shape[0] if factored else self.E.shape[1]
         if arr.ndim == 1:
             if arr.shape[0] != n_y:
                 raise DimensionMismatch(
@@ -109,10 +123,16 @@ class AffineEstimator:
             offset = self.f[:, None]
         else:
             raise DimensionMismatch("measurements must be a vector or a matrix of columns")
-        # E is in the instance dict once formed, and from the start when E_w is None
-        if "E" in self.__dict__ or (arr.ndim == 2 and arr.shape[1] > self.E_w.shape[0]):
-            return self.E @ arr + offset
-        return self.E_w @ half_solve(self._noise_factor, arr) + offset
+        with np.errstate(over="ignore", invalid="ignore"):
+            if factored and (arr.ndim == 1 or arr.shape[1] <= self.f.shape[0]):
+                x = self._factored(arr) + offset
+            else:
+                x = self.E @ arr + offset
+        if not np.isfinite(x).all():
+            raise EstimationError(
+                "estimate is not finite in double precision; rescale the problem"
+            )
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +141,8 @@ class CovarianceResult:
 
     Both checks are relative to the norm of ``C``.  :func:`covariance` of a
     whitened estimator against its own ``C_nn`` returns a private subclass that
-    sets the variances from the rows of ``E_w`` and forms ``C`` on first read.
+    sets the variances from the estimator's variance rows and forms ``C`` on
+    first read.
     """
 
     C: np.ndarray
@@ -144,27 +165,85 @@ class CovarianceResult:
 
 @dataclass(frozen=True, eq=False)
 class _WhitenedEstimator(AffineEstimator):
-    """Estimator with whitened map ``E_w = lift @ core_w``; E is formed on first read."""
+    """Least squares on the whitened matrix W, kept as its factors.
+
+    With ``W^H W = L_G L_G^H``, ``E_w = lift G^-1 W^H`` for ``G^-1 = L_G^-H L_G^-1``,
+    where the lift is the nullspace basis or None (the identity).  The estimator
+    keeps W, L_G, the lift, the offset and the noise factor L; ``E_w`` and E are
+    formed on first read, by the formulas the constructors once used.
+    """
+
+    _lift = None
+
+    def __post_init__(self):
+        # a copy made by dataclasses.replace keeps the E it is given and no factors
+        super().__post_init__()
+        object.__setattr__(self, "E_w", None)
+
+    def _core(self, u):
+        """``G^-1 u``, the map before the lift, on ``u = W^H L^-1 y``."""
+        return hpd_solve(self._gram, u)
+
+    def _variance_rows(self):
+        """Rows whose squared norms are the variances: here the conjugate of ``lift L_G^-H``."""
+        lift = self._lift
+        rhs = np.eye(self._gram.dim) if lift is None else lift.conj().T
+        return half_solve(self._gram, rhs).T
+
+    def _core_w(self):
+        """``G^-1 W^H``, the whitened map before the lift."""
+        return hpd_solve(self._gram, self._w.conj().T)
+
+    def _factored(self, arr):
+        """``lift G^-1 W^H L^-1 arr``, ``L^-1 arr`` scaled by a power of 2 so no step overflows."""
+        z = half_solve(self._noise_factor, arr)
+        power = reciprocal_power(float(np.abs(z.ravel("K").view(np.float64)).max()))
+        x = self._core(_adjoint_times(self._w, z * power))
+        return (x if self._lift is None else self._lift @ x) / power
+
+    @cached_property
+    def E_w(self):
+        e_w = self._core_w()
+        if self._lift is not None:
+            e_w = self._lift @ e_w
+        if not np.isfinite(e_w).all():
+            raise ValueError("estimator matrix contains non-finite entries")
+        e_w.flags.writeable = False
+        return e_w
 
     @cached_property
     def E(self):
+        if self._lift is None:
+            return as_matrix(_unwhitened(self._noise_factor, self.E_w), "estimator matrix")
         # unwhitening before lifting solves against the reduced map, which has n0
         # rows, so its adjoint is tall even when the model is underdetermined
-        e = _unwhitened(self._noise_factor, self._core_w)
-        e = as_matrix(e if self._lift is None else self._lift @ e, "estimator matrix")
-        del self.__dict__["_core_w"], self.__dict__["_lift"]
-        return e
+        e = _unwhitened(self._noise_factor, self._core_w())
+        return as_matrix(self._lift @ e, "estimator matrix")
+
+
+@dataclass(frozen=True, eq=False)
+class _ConstrainedWhitenedEstimator(_WhitenedEstimator):
+    """The direct constrained form: ``G^-1`` becomes ``T T^H``, T from the constraint step."""
+
+    def _core(self, u):
+        return self._t @ _adjoint_times(self._t, u)
+
+    def _variance_rows(self):
+        return self._t
+
+    def _core_w(self):
+        return self._step.least_squares(self._w)
 
 
 @dataclass(frozen=True, eq=False)
 class _WhitenedCovariance(CovarianceResult):
-    """``E_w E_w^H`` with its variances set; C is formed and checked on first read."""
+    """``E_w E_w^H`` with its variances set; C is formed from ``E_w`` and checked on first read."""
 
     @cached_property
     def C(self):
-        e_w = self._E_w
+        e_w = self._estimator.E_w
         c = CovarianceResult(hermitian_product("error covariance", e_w, e_w.conj().T)).C
-        del self.__dict__["_E_w"]
+        del self.__dict__["_estimator"]
         return c
 
 
@@ -180,26 +259,26 @@ def _gram_factor(h: np.ndarray):
     return gram_factor(RankDeficient, "measurement matrix", h)
 
 
+def _adjoint_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m^H @ v`` for a vector or matrix ``v``, without copying ``m``."""
+    return (v.conj().T @ m).conj().T
+
+
 def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
     """``m_w @ L^-1``: the map on y of a map ``m_w`` on the whitened measurement ``L^-1 y``."""
     return half_solve(noise_factor, m_w.conj().T, adjoint=True).conj().T
 
 
-def _whitened_estimator(model: LinearModel, core_w, f, label: str, lift=None) -> AffineEstimator:
-    """Estimator with whitened map ``E_w = lift @ core_w`` (``core_w`` without a lift) and offset ``f``."""
-    e_w = core_w if lift is None else lift @ core_w
-    if not np.isfinite(e_w).all():
-        raise ValueError("estimator matrix contains non-finite entries")
-    e_w.flags.writeable = False
+def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) -> AffineEstimator:
+    """Whitened estimator of class ``cls`` on the whitened matrix ``w``, with offset ``f``."""
     return _unformed(
-        _WhitenedEstimator,
+        cls,
         f=as_vector(f, "estimator offset"),
         label=label,
-        E_w=e_w,
         C_nn=model.C_nn,
         _noise_factor=model.noise_factor,
-        _core_w=core_w,
-        _lift=lift,
+        _w=w,
+        **factors,
     )
 
 
@@ -212,17 +291,17 @@ def ls(model: LinearModel) -> AffineEstimator:
 def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
     w, factor = model.whitened_gram(model.H)
-    e_w = hpd_solve(factor, w.conj().T)
-    return _whitened_estimator(model, e_w, np.zeros(model.n_x), "blue")
+    f = np.zeros(model.n_x)
+    est = _whitened_estimator(_WhitenedEstimator, model, w, f, "blue", _gram=factor)
+    est.E_w  # formed now, so that a non-finite map is refused at construction
+    return est
 
 
 def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
     """Least squares restricted to the constraint set ``A @ x = b``."""
     _check_parameter_dims(model, constraints)
-    factor = _gram_factor(model.H)
-    m = half_solve(factor, model.H.conj().T)
-    e, f = constraint_step(constraints.A, constraints.b, m, factor)
-    return AffineEstimator(E=e, f=f, label="cls")
+    step = constraint_step(constraints.A, constraints.b, _gram_factor(model.H))
+    return AffineEstimator(E=step.least_squares(model.H), f=step.offset, label="cls")
 
 
 def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -233,9 +312,12 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     """
     _check_parameter_dims(model, constraints)
     w, factor = model.whitened_gram(model.H)
-    m = half_solve(factor, w.conj().T)
-    e_w, f = constraint_step(constraints.A, constraints.b, m, factor)
-    return _whitened_estimator(model, e_w, f, "cblue_direct")
+    step = constraint_step(constraints.A, constraints.b, factor)
+    # the variance rows T = L_G^-H (I - Q Q^H); E_w = T T^H W^H is formed only when read
+    return _whitened_estimator(
+        _ConstrainedWhitenedEstimator, model, w, step.offset, "cblue_direct",
+        _t=step.project(np.eye(model.n_x)), _step=step,
+    )
 
 
 def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimator:
@@ -253,11 +335,13 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
             f"{h.shape[1]} parameters"
         )
     w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
-    reduced_w = hpd_solve(factor, w.conj().T)
     xp = param.particular
     # x_p - E_w L^-1 H x_p, whitening H x_p as one tall column like every solve here
-    f = xp - param.basis @ (reduced_w @ half_solve(model.noise_factor, h @ xp[:, None]))[:, 0]
-    return _whitened_estimator(model, reduced_w, f, "cblue_nullspace", lift=param.basis)
+    core = hpd_solve(factor, w.conj().T @ half_solve(model.noise_factor, h @ xp[:, None]))
+    f = xp - param.basis @ core[:, 0]
+    return _whitened_estimator(
+        _WhitenedEstimator, model, w, f, "cblue_nullspace", _gram=factor, _lift=param.basis
+    )
 
 
 def cblue(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -299,31 +383,33 @@ def project_onto_constraints(
             f"constraints act on {a.shape[1]} parameters, estimator returns "
             f"{base.E.shape[0]}"
         )
-    e, p = constraint_step(a, constraints.b, np.column_stack([base.E, base.f]))
-    return AffineEstimator(E=e[:, :-1], f=e[:, -1] + p, label=base.label + "_projected")
+    step = constraint_step(a, constraints.b)
+    e = step.project(np.column_stack([base.E, base.f]))
+    return AffineEstimator(E=e[:, :-1], f=e[:, -1] + step.offset, label=base.label + "_projected")
 
 
 def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
     """Error covariance ``E @ C_nn @ E^H`` of an affine estimator.
 
     If ``noise_cov`` is the very array ``est.C_nn``, the ``model.C_nn`` a whitened
-    constructor built ``est`` against, the covariance is ``E_w @ E_w^H`` from the
+    constructor built ``est`` against, the covariance is ``E_w @ E_w^H`` of the
     kept whitened estimator: its per-element variances are the squared row norms
-    of ``E_w``, and its ``C`` is that product, formed and checked on first read.
-    Any other array, an equal copy included, takes the general product.
+    of the variance rows ``lift T``, and its ``C`` is that product, formed from
+    ``E_w`` and checked on first read.  Any other array, an equal copy included,
+    takes the general product.
     """
-    e_w = est.E_w
-    if e_w is not None and noise_cov is est.C_nn:
+    if est.C_nn is not None and noise_cov is est.C_nn:
+        rows = est._variance_rows()
         with np.errstate(over="ignore", invalid="ignore"):
-            variance = np.einsum("ij,ij->i", e_w.real, e_w.real) + np.einsum(
-                "ij,ij->i", e_w.imag, e_w.imag
+            variance = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum(
+                "ij,ij->i", rows.imag, rows.imag
             )
         if not np.isfinite(variance).all():
             raise EstimationError(
                 "error covariance is not finite in double precision; rescale the problem"
             )
         variance.flags.writeable = False
-        return _unformed(_WhitenedCovariance, per_element_variance=variance, _E_w=e_w)
+        return _unformed(_WhitenedCovariance, per_element_variance=variance, _estimator=est)
     c = as_matrix(noise_cov, "noise covariance")
     if c.shape[0] != c.shape[1] or c.shape[0] != est.E.shape[1]:
         raise DimensionMismatch(
@@ -354,7 +440,7 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)
         _, factor = model.whitened_gram(model.H)
-        t, _ = constraint_step(constraints.A, constraints.b, np.eye(model.n_x), factor)
+        t = constraint_step(constraints.A, constraints.b, factor).project(np.eye(model.n_x))
         return CovarianceResult(C=hermitian_product("error covariance", t, t.conj().T))
     raise TypeError(
         "expected a ConstraintSet or NullspaceParam, got "

@@ -96,6 +96,11 @@ def _lower_gram(w: np.ndarray) -> np.ndarray:
     return zherk(1.0, w, trans=2, lower=1)
 
 
+def reciprocal_power(peak: float) -> float:
+    """The normal power of 2 nearest ``1 / peak``, or 1 if ``peak`` is 0; scaling by it is exact."""
+    return 2.0 ** -min(max(math.frexp(peak)[1], -1022), 1022)
+
+
 def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
     """Frobenius norms of ``p (m - m^H)`` and ``p m``, and p, for square C-contiguous complex ``m``.
 
@@ -104,8 +109,7 @@ def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
     difference is taken block by block over the lower block triangle, so the transpose
     is read in small tiles rather than with strides across the whole matrix.
     """
-    peak = float(np.abs(m.view(np.float64)).max())
-    power = 2.0 ** -min(max(math.frexp(peak)[1], -1022), 1022)
+    power = reciprocal_power(float(np.abs(m.view(np.float64)).max()))
     scaled = m * power
     n, step = m.shape[0], _ASYMMETRY_BLOCK
     squares = 0.0
@@ -261,25 +265,48 @@ def nullspace_basis(a) -> np.ndarray:
     return basis
 
 
-def constraint_step(a, b, m, factor: HpdFactor | None = None):
-    """Project the map ``u = m y`` onto ``a @ x = b`` in the coordinates ``u = L^H x``.
+@dataclass(frozen=True, eq=False)
+class ConstraintStep:
+    """The orthogonal projection onto ``a @ x = b`` in the coordinates ``u = L^H x``.
+
+    Made by :func:`constraint_step`.  ``q_adjoint`` is ``Q^H`` for the orthonormal Q,
+    ``offset`` the least-norm solution in x and ``factor`` L, or None for the identity.
+    """
+
+    q_adjoint: np.ndarray
+    offset: np.ndarray
+    factor: HpdFactor | None
+
+    def project(self, m):
+        """The map ``u = m y`` projected, in x: ``L^-H (m - Q (Q^H m))``.
+
+        A free offset is projected as one more column of ``m``.
+        """
+        q = self.q_adjoint.conj().T
+        e = m - q @ (self.q_adjoint @ m)
+        return e if self.factor is None else half_solve(self.factor, e, adjoint=True)
+
+    def least_squares(self, w):
+        """The constrained least-squares map on ``w``, for L the factor of ``w^H w``."""
+        return self.project(half_solve(self.factor, w.conj().T))
+
+
+def constraint_step(a, b, factor: HpdFactor | None = None) -> ConstraintStep:
+    """The step that projects maps onto ``a @ x = b`` in the coordinates ``u = L^H x``.
 
     L is the lower ``factor`` of the geometry's Gram matrix, or the identity if None.
     With ``Z^H = L^-1 a^H``, :func:`gram_factor` factors ``Z Z^H = L_S L_S^H`` and
-    decides its rank, and ``Q = Z^H L_S^-H`` has orthonormal columns.  Returns the
-    projected map ``m - Q (Q^H m)`` and its offset ``p = Q L_S^-1 b``, the least-norm
-    solution of ``Z u = b``, both in x (``L^-H`` times each).  A free offset is
-    projected as one more column of ``m``.
+    decides its rank, and ``Q = Z^H L_S^-H`` has orthonormal columns.  The step maps
+    ``m`` to ``m - Q (Q^H m)``, and its offset is ``p = Q L_S^-1 b``, the least-norm
+    solution of ``Z u = b``, both in x (``L^-H`` times each).
     """
     zh = a.conj().T if factor is None else half_solve(factor, a.conj().T)
     s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", zh)
     q_adjoint = half_solve(s_factor, zh.conj().T)
-    q = q_adjoint.conj().T
-    e = m - q @ (q_adjoint @ m)
-    p = q @ half_solve(s_factor, b)
-    if factor is None:
-        return e, p
-    return half_solve(factor, e, adjoint=True), half_solve(factor, p, adjoint=True)
+    p = q_adjoint.conj().T @ half_solve(s_factor, b)
+    if factor is not None:
+        p = half_solve(factor, p, adjoint=True)
+    return ConstraintStep(q_adjoint, p, factor)
 
 
 def least_norm_solution(a, b) -> np.ndarray:
@@ -290,4 +317,4 @@ def least_norm_solution(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side has {rhs.shape[0]} entries, constraint matrix has {arr.shape[0]} rows"
         )
-    return constraint_step(arr, rhs, np.zeros((arr.shape[1], 0)))[1]
+    return constraint_step(arr, rhs).offset

@@ -4,7 +4,8 @@ Every property follows one instance protocol, kept in :func:`_property`: it
 draws ``instances`` random admissible problems with :func:`random_instance`
 (every third one underdetermined, for the properties that also hold there),
 computes the property's residuals on each problem, and reports the worst
-residual against a fixed tolerance.  :func:`run_suite` gives each property
+residual against a fixed tolerance, with the index and shape of the problem
+that gave it.  :func:`run_suite` gives each property
 its own substream of the master seed, chosen by its position in the suite.
 The command line front end prints one line per property; the test suite
 reuses the same functions with its own instance counts.
@@ -39,12 +40,18 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """Outcome of one verification property."""
+    """Outcome of one verification property.
+
+    ``worst_index`` and ``worst_shape``, ``(n_y, n_x, n_b)``, name the instance that
+    gave the worst residual; both are None while no residual exceeds 0.
+    """
 
     name: str
     worst: float
     tol: float
     instances: int
+    worst_index: int | None = None
+    worst_shape: tuple[int, int, int] | None = None
 
     @property
     def passed(self) -> bool:
@@ -103,13 +110,15 @@ def _property(name: str, tol: float, mixed: bool = False):
     def decorate(residuals):
         @functools.wraps(residuals)
         def check(rng, instances: int) -> PropertyResult:
-            worst = 0.0
+            worst, where = 0.0, (None, None)
             for index in range(instances):
                 overdetermined = not mixed or index % 3 != 2
                 model, constraints = random_instance(rng, overdetermined=overdetermined)
                 for residual in residuals(rng, model, constraints):
-                    worst = max(worst, residual)
-            return PropertyResult(name, worst, tol, instances)
+                    if residual > worst:
+                        worst = residual
+                        where = index, (model.n_y, model.n_x, constraints.n_b)
+            return PropertyResult(name, worst, tol, instances, *where)
 
         return check
 

@@ -402,6 +402,62 @@ def test_estimate_nullspace_refuses_extreme_constraint_scale_with_one_error_line
     assert done.stdout == ""
 
 
+PROBE_H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def probe_paths(tmp_path, h, y):
+    # H x = y with x_1 = x_2 and C_nn = I: every estimator gives x_hat = (y1 + y2 + 2 y3) / 6
+    # per unit of H
+    arrays = {"H": h, "Cnn": np.eye(3), "A": np.array([[1.0, -1.0]]), "b": np.zeros(1), "y": y}
+    paths = {}
+    for name, value in arrays.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_matrix(paths[name], value)
+    return paths
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["cblue", "ls"])
+def test_estimate_refuses_an_estimate_beyond_double_range(tmp_path, capsys, method):
+    # x_hat = 4e300 / 6e-10 = 6.7e309
+    paths = probe_paths(tmp_path, PROBE_H * 1e-10, np.full(3, 1e300))
+    assert main(estimate_args(paths, method)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = "error: estimate is not finite in double precision; rescale the problem\n"
+    assert captured.err == error
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_keeps_an_estimate_near_the_top_of_double_range(tmp_path, capsys):
+    # x_hat = 1.13e308, while W^H L^-1 y = 3.4e308 unless the whitened measurement is scaled
+    paths = probe_paths(tmp_path, PROBE_H, np.full(3, 1.7e308))
+    assert main(estimate_args(paths)) == 0
+    assert_allclose(parse_x_hat(capsys.readouterr().out), [1.7e308 / 6 * 4] * 2, rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_constraint_residual_does_not_overflow(tmp_path, capsys):
+    # x_hat = 3.3e307, whose squares overflow in an unscaled norm of A x_hat - b
+    paths = probe_paths(tmp_path, PROBE_H, np.array([1e308, -1e308, 1e308]))
+    assert main(estimate_args(paths)) == 0
+    out = capsys.readouterr().out
+    residual = float(re.search(r"constraint_residual = (\S+)", out).group(1))
+    x_hat = parse_x_hat(out) / 1e307
+    assert residual / 1e307 <= 4 * np.finfo(float).eps * np.linalg.norm(x_hat)
+
+
+def test_constraint_residual_equals_the_unscaled_norm_on_ordinary_scales():
+    from cblue.cli import _residual_norm
+
+    rng = np.random.default_rng(83)
+    for scale in (1e-100, 1e-3, 1.0, 1e5, 1e100):
+        a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        x = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * scale
+        b = a @ x + rng.standard_normal(3) * scale * 1e-12
+        assert _residual_norm(a, x, b) == float(np.linalg.norm(a @ x - b))
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify", "--trials", "6"]) == 0
     out = capsys.readouterr().out
@@ -413,6 +469,15 @@ def test_verify_command_catches_injected_defect(sign_defect, capsys):
     assert main(["verify", "--trials", "6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_names_the_worst_instance_only_on_failing_lines(sign_defect, capsys):
+    assert main(["verify", "--trials", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    where = re.compile(r"  worst at instance [0-5]: n_y \d+, n_x \d+, n_b \d+$")
+    assert any("FAIL" in line for line in lines)
+    for line in lines:
+        assert bool(where.search(line)) == ("FAIL" in line), line
 
 
 def test_verify_refuses_bad_arguments():

@@ -125,6 +125,25 @@ def test_each_property_draws_its_instance_mix(monkeypatch, check, name, tol, mix
     assert (result.name, result.tol, result.instances) == (name, tol, 6)
 
 
+def test_property_result_names_its_worst_instance():
+    # a property whose residual peaks on the third instance drawn, an underdetermined one
+    calls = []
+
+    @cblue.verify._property("peak-at-three", 1.0, mixed=True)
+    def check_peak(rng, model, constraints):
+        calls.append(None)
+        yield 2.0 if len(calls) == 3 else 0.5
+        yield 0.0
+
+    result = check_peak(np.random.default_rng(17), 6)
+    assert (result.worst, result.passed, result.worst_index) == (2.0, False, 2)
+    replay = np.random.default_rng(17)
+    for index in range(3):
+        model, constraints = random_instance(replay, overdetermined=index % 3 != 2)
+    assert result.worst_shape == (model.n_y, model.n_x, constraints.n_b)
+    assert model.n_y < model.n_x
+
+
 @pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1), (5, 2**64), (5, 1.5)])
 def test_run_suite_refuses_bad_arguments_before_drawing(monkeypatch, instances, seed):
     def forbidden(*args, **kwargs):

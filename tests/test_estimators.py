@@ -526,6 +526,42 @@ def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdet
     assert_allclose(covariance(flipped, model.C_nn).per_element_variance, variance, rtol=1e-12)
 
 
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_cblue_pipeline_forms_no_whitened_map(overdetermined):
+    # the estimate and its variances come from the kept factors alone
+    rng = np.random.default_rng(61)
+    model, constraints, _ = draw_instance(rng, overdetermined)
+    y = rng.standard_normal(model.n_y) + 1j * rng.standard_normal(model.n_y)
+    est = cblue(model, constraints)
+    est.apply(y)
+    covariance(est, model.C_nn).per_element_variance
+    assert "E_w" not in est.__dict__ and "E" not in est.__dict__
+
+
+# H x = y with x_1 = x_2 and C_nn = I: every method estimates (y1 + y2 + 2 y3) / 6 per
+# unit of H, which is 2/3 of a constant y
+PROBE_H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+PROBE_CONSTRAINT = ConstraintSet(np.array([[1.0, -1.0]]), np.zeros(1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", _METHODS)
+def test_apply_refuses_an_estimate_beyond_double_range(method):
+    est = _METHODS[method](LinearModel(PROBE_H * 1e-10, np.eye(3)), PROBE_CONSTRAINT)
+    # a vector, a batch as wide as x and a wider one, which goes through E
+    for y in (np.full(3, 1e300), np.full((3, 2), 1e300), np.full((3, 3), 1e300)):
+        with pytest.raises(EstimationError, match="estimate is not finite in double precision"):
+            est.apply(y)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", _METHODS)
+def test_apply_keeps_an_estimate_near_the_top_of_double_range(method):
+    # W^H L^-1 y reaches 3.4e308 unless L^-1 y is scaled before the products
+    est = _METHODS[method](LinearModel(PROBE_H, np.eye(3)), PROBE_CONSTRAINT)
+    assert_allclose(est.apply(np.full(3, 1.7e308)), [1.7e308 / 3 * 2] * 2, rtol=1e-15)
+
+
 def test_estimator_refuses_a_non_finite_whitened_map(monkeypatch):
     # the deferred E is refused at construction, as the eager one was
     import cblue.estimators as estimators
