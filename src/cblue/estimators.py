@@ -337,7 +337,7 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
     w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
     xp = param.particular
     # x_p - E_w L^-1 H x_p, whitening H x_p as one tall column like every solve here
-    core = hpd_solve(factor, w.conj().T @ half_solve(model.noise_factor, h @ xp[:, None]))
+    core = hpd_solve(factor, _adjoint_times(w, half_solve(model.noise_factor, h @ xp[:, None])))
     f = xp - param.basis @ core[:, 0]
     return _whitened_estimator(
         _WhitenedEstimator, model, w, f, "cblue_nullspace", _gram=factor, _lift=param.basis
