@@ -19,17 +19,21 @@ not its n_x x n_y map: the whitened matrix W, the Cholesky factor ``L_G`` of
 own ``C_nn`` array and its factor L.  The whitened map is
 ``E_w = lift T T^H W^H``, where ``T = L_G^-H`` for BLUE and the nullspace form
 and ``T = L_G^-H (I - Q Q^H)``, the constraint step applied to ``L_G^-H``, for
-the direct form.  They apply it as ``lift T T^H W^H (L^-1 y) + f``, with two
-solves against ``L_G`` in place of the products with ``T = L_G^-H``, which
-costs O(n^2) per measurement vector.  ``E_w`` and ``E = E_w L^-1`` are formed,
+the direct form.  The direct form keeps ``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the
+step's projection in u applied to the triangular inverse ``L_G^-1``.  They
+apply the map as ``lift T T^H W^H (L^-1 y) + f``: two products with the kept
+``T^H`` for the direct form, two solves against ``L_G`` for the others, so
+O(n^2) per measurement vector.  ``E_w`` and ``E = E_w L^-1`` are formed,
 by the formulas the constructors once used, only when first read or when a
 batch of measurements is wide enough that forming E costs less; BLUE forms
 ``E_w`` at construction, so a non-finite map is refused there.
 The error covariance ``E C_nn E^H`` is then ``E_w E_w^H = lift T T^H lift^H``:
 handed that very ``C_nn`` array, :func:`covariance` takes the per-element
-variances from the squared row norms of ``lift T`` and forms the full matrix
-``E_w E_w^H`` only when it is first read; any other array, an equal copy
-included, takes the general product.  The deferred reads are
+variances from the squared row norms of ``lift T``, the variance rows: the
+columns of ``L_G^-1`` for BLUE, of the kept ``T^H`` for the direct form, and
+``L_G^-1 N^H`` for the nullspace form, whose right-hand side is dense.  It forms
+the full matrix ``E_w E_w^H`` only when it is first read; any other array, an
+equal copy included, takes the general product.  The deferred reads are
 :func:`functools.cached_property` reads on private subclasses, so a failed
 read can be retried and a copy or pickle carries what is still unformed.
 """
@@ -58,6 +62,7 @@ from .model import (
 )
 from .numerics import (
     _HERMITIAN_RTOL,
+    ConstraintStep,
     HpdFactor,
     as_matrix,
     as_vector,
@@ -66,6 +71,7 @@ from .numerics import (
     half_solve,
     hermitian_product,
     hpd_solve,
+    inverse_factor,
     reciprocal_power,
     scaled_asymmetry,
 )
@@ -186,9 +192,9 @@ class _WhitenedEstimator(AffineEstimator):
 
     def _variance_rows(self):
         """Rows whose squared norms are the variances: here the conjugate of ``lift L_G^-H``."""
-        lift = self._lift
-        rhs = np.eye(self._gram.dim) if lift is None else lift.conj().T
-        return half_solve(self._gram, rhs).T
+        if self._lift is None:
+            return inverse_factor(self._gram).T
+        return half_solve(self._gram, self._lift.conj().T).T
 
     def _core_w(self):
         """``G^-1 W^H``, the whitened map before the lift."""
@@ -223,13 +229,13 @@ class _WhitenedEstimator(AffineEstimator):
 
 @dataclass(frozen=True, eq=False)
 class _ConstrainedWhitenedEstimator(_WhitenedEstimator):
-    """The direct constrained form: ``G^-1`` becomes ``T T^H``, T from the constraint step."""
+    """The direct constrained form: ``G^-1`` becomes ``T T^H``, of the kept ``T^H``."""
 
     def _core(self, u):
-        return self._t @ _adjoint_times(self._t, u)
+        return _adjoint_times(self._t_adjoint, self._t_adjoint @ u)
 
     def _variance_rows(self):
-        return self._t
+        return self._t_adjoint.T
 
     def _core_w(self):
         return self._step.least_squares(self._w)
@@ -267,6 +273,11 @@ def _adjoint_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
     """``m_w @ L^-1``: the map on y of a map ``m_w`` on the whitened measurement ``L^-1 y``."""
     return half_solve(noise_factor, m_w.conj().T, adjoint=True).conj().T
+
+
+def _constrained_inverse(step: ConstraintStep) -> np.ndarray:
+    """``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the step in u on ``L_G^-1`` for its factor ``L_G``."""
+    return step.complement(inverse_factor(step.factor), overwrite=True)
 
 
 def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) -> AffineEstimator:
@@ -313,10 +324,10 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     _check_parameter_dims(model, constraints)
     w, factor = model.whitened_gram(model.H)
     step = constraint_step(constraints.A, constraints.b, factor)
-    # the variance rows T = L_G^-H (I - Q Q^H); E_w = T T^H W^H is formed only when read
+    # E_w = T T^H W^H is formed only when read
     return _whitened_estimator(
         _ConstrainedWhitenedEstimator, model, w, step.offset, "cblue_direct",
-        _t=step.project(np.eye(model.n_x)), _step=step,
+        _t_adjoint=_constrained_inverse(step), _step=step,
     )
 
 
@@ -428,7 +439,8 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     ``N (N^H P N)^-1 N^H`` or a :class:`ConstraintSet` for the full-rank form
     ``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1``; the two agree whenever both
     are defined.  The full-rank form is ``T T^H``, with ``T = R^-1 (I - Q Q^H)`` the
-    constraint step applied to ``R^-1`` for ``P = R^H R``: nothing cancels.
+    constraint step applied to ``R^-1`` for ``P = R^H R``, formed as the direct
+    form's ``T^H``: nothing cancels.
     """
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis
@@ -440,8 +452,10 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
         constraints = constraints_or_param
         _check_parameter_dims(model, constraints)
         _, factor = model.whitened_gram(model.H)
-        t = constraint_step(constraints.A, constraints.b, factor).project(np.eye(model.n_x))
-        return CovarianceResult(C=hermitian_product("error covariance", t, t.conj().T))
+        t_adjoint = _constrained_inverse(constraint_step(constraints.A, constraints.b, factor))
+        return CovarianceResult(
+            C=hermitian_product("error covariance", t_adjoint.conj().T, t_adjoint)
+        )
     raise TypeError(
         "expected a ConstraintSet or NullspaceParam, got "
         f"{type(constraints_or_param).__name__}"

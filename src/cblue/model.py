@@ -224,4 +224,17 @@ def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:
             raise EstimationError(
                 "supplied particular solution does not satisfy the constraints"
             )
-    return NullspaceParam(basis=basis, particular=xp)
+    return _own_basis_param(basis, xp)
+
+
+def _own_basis_param(basis: np.ndarray, particular: np.ndarray) -> NullspaceParam:
+    """:class:`NullspaceParam` of a read-only basis :func:`nullspace_basis` made orthonormal.
+
+    Its orthonormality check, the Gram ``basis^H basis``, is skipped; a basis from
+    outside the package is checked by the constructor.
+    """
+    param = object.__new__(NullspaceParam)
+    param.__dict__.update(
+        basis=basis, particular=as_vector(particular, "particular solution"), n0=basis.shape[1]
+    )
+    return param

@@ -7,13 +7,17 @@ and the constraint step: the orthogonal projection onto ``A @ x = b`` that
 every constrained map and every least-norm solution comes from.  All
 routines accept real input and promote it to complex.
 
-Every Gram matrix, the constraint step's included, is ``W^H W`` of one matrix
-W, formed by the BLAS Hermitian rank-k update ``zherk``, which fills its lower
-triangle only, at half the flops of a general product.  Every Cholesky factor
-comes from LAPACK's ``zpotrf``, which reads that lower triangle and returns a
-Fortran-order lower factor, the layout ``ztrtrs`` solves against.  A Gram
-matrix made here is factored in place; an array from a caller is factored in
-a copy.
+Four BLAS and LAPACK routines from scipy do the work:
+
+- ``zherk``, the Hermitian rank-k update, forms every Gram matrix ``W^H W`` of
+  one matrix W, the constraint step's included.  It fills the lower triangle
+  only, at half the flops of a general product.
+- ``zpotrf`` makes every Cholesky factor.  It reads that lower triangle and
+  returns a Fortran-order lower factor.  A Gram matrix made here is factored in
+  place; an array from a caller is factored in a copy.
+- ``ztrtrs`` solves against a factor, in :func:`half_solve`.
+- ``ztrtri`` inverts a factor, in :func:`inverse_factor`, at a third of the
+  flops of solving against the identity.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpotrf, ztrtrs
+from scipy.linalg.lapack import zpotrf, ztrtri, ztrtrs
 
 from .errors import (
     DimensionMismatch,
@@ -109,7 +113,8 @@ def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
     difference is taken block by block over the lower block triangle, so the transpose
     is read in small tiles rather than with strides across the whole matrix.
     """
-    power = reciprocal_power(float(np.abs(m.view(np.float64)).max()))
+    parts = m.view(np.float64)
+    power = reciprocal_power(float(max(parts.max(), -parts.min())))
     scaled = m * power
     n, step = m.shape[0], _ASYMMETRY_BLOCK
     squares = 0.0
@@ -221,6 +226,14 @@ def half_solve(factor: HpdFactor, rhs, adjoint: bool = False):
     return solution
 
 
+def inverse_factor(factor: HpdFactor) -> np.ndarray:
+    """``L^-1`` for the factor L: a new Fortran-order lower-triangular array, zero above."""
+    inverse, info = ztrtri(factor.lower, lower=1)
+    if info:
+        raise NotPositiveDefinite(f"factor has a zero pivot at diagonal {info - 1}")
+    return inverse
+
+
 def hpd_solve(factor: HpdFactor, rhs):
     """Solve M @ X = rhs given the Cholesky factor of M; ``rhs`` as for :func:`half_solve`."""
     return half_solve(factor, half_solve(factor, rhs), adjoint=True)
@@ -277,13 +290,20 @@ class ConstraintStep:
     offset: np.ndarray
     factor: HpdFactor | None
 
+    def complement(self, m, overwrite: bool = False):
+        """``m - Q (Q^H m)``: the map ``u = m y`` projected, in u.
+
+        ``overwrite`` subtracts in ``m`` itself: pass it only for a private array.
+        """
+        correction = self.q_adjoint.conj().T @ (self.q_adjoint @ m)
+        return np.subtract(m, correction, out=m if overwrite else None)
+
     def project(self, m):
         """The map ``u = m y`` projected, in x: ``L^-H (m - Q (Q^H m))``.
 
         A free offset is projected as one more column of ``m``.
         """
-        q = self.q_adjoint.conj().T
-        e = m - q @ (self.q_adjoint @ m)
+        e = self.complement(m)
         return e if self.factor is None else half_solve(self.factor, e, adjoint=True)
 
     def least_squares(self, w):

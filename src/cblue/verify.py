@@ -14,6 +14,7 @@ reuses the same functions with its own instance counts.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -43,7 +44,8 @@ class PropertyResult:
     """Outcome of one verification property.
 
     ``worst_index`` and ``worst_shape``, ``(n_y, n_x, n_b)``, name the instance that
-    gave the worst residual; both are None while no residual exceeds 0.
+    gave the worst residual; both are None while no residual exceeds 0.  A NaN
+    residual is the worst, so the first one fails the property and is named.
     """
 
     name: str
@@ -115,7 +117,8 @@ def _property(name: str, tol: float, mixed: bool = False):
                 overdetermined = not mixed or index % 3 != 2
                 model, constraints = random_instance(rng, overdetermined=overdetermined)
                 for residual in residuals(rng, model, constraints):
-                    if residual > worst:
+                    # a NaN residual is the worst: kept against any number, never replaced
+                    if not residual <= worst and not math.isnan(worst):
                         worst = residual
                         where = index, (model.n_y, model.n_x, constraints.n_b)
             return PropertyResult(name, worst, tol, instances, *where)

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cblue
+import cblue.verify
 from cblue.cli import main
 from cblue.fileio import CSV_HEADER, save_matrix
 
@@ -478,6 +479,19 @@ def test_verify_names_the_worst_instance_only_on_failing_lines(sign_defect, caps
     assert any("FAIL" in line for line in lines)
     for line in lines:
         assert bool(where.search(line)) == ("FAIL" in line), line
+
+
+def test_verify_fails_a_property_whose_residuals_are_nan(monkeypatch, capsys):
+    @cblue.verify._property("nan-probe", 1e-9)
+    def check_nan(rng, model, constraints):
+        yield float("nan")
+
+    monkeypatch.setattr(cblue.verify, "_SUITE", (check_nan,))
+    assert main(["verify", "--trials", "2"]) == 1
+    line, summary = capsys.readouterr().out.splitlines()
+    assert line.startswith("nan-probe  FAIL  worst residual       nan  (tol 1e-09, 2 instances)")
+    assert re.search(r"  worst at instance 0: n_y \d+, n_x \d+, n_b \d+$", line), line
+    assert summary == "verification: 0/1 properties passed"
 
 
 def test_verify_refuses_bad_arguments():

@@ -144,6 +144,26 @@ def test_property_result_names_its_worst_instance():
     assert model.n_y < model.n_x
 
 
+@pytest.mark.parametrize("nan_from", [0, 1])
+def test_a_nan_residual_fails_its_property_and_names_its_instance(nan_from):
+    # NaN compares false with every number, so a plain "greater than" would keep 0.0
+    calls = []
+
+    @cblue.verify._property("nan-probe", 1.0)
+    def check_nan(rng, model, constraints):
+        calls.append(None)
+        yield 0.5 if len(calls) <= nan_from else float("nan")
+        yield 3.0  # larger than every number before it, but not worse than a NaN
+
+    result = check_nan(np.random.default_rng(23), 4)
+    assert np.isnan(result.worst) and not result.passed
+    assert result.worst_index == nan_from
+    replay = np.random.default_rng(23)
+    for _ in range(nan_from + 1):
+        model, constraints = random_instance(replay)
+    assert result.worst_shape == (model.n_y, model.n_x, constraints.n_b)
+
+
 @pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1), (5, 2**64), (5, 1.5)])
 def test_run_suite_refuses_bad_arguments_before_drawing(monkeypatch, instances, seed):
     def forbidden(*args, **kwargs):

@@ -29,7 +29,7 @@ from cblue.estimators import (
     project_onto_constraints,
 )
 from cblue.model import ConstraintSet, LinearModel, parameterize
-from cblue.numerics import least_norm_solution
+from cblue.numerics import half_solve, least_norm_solution
 from cblue.verify import random_instance
 
 
@@ -536,6 +536,30 @@ def test_cblue_pipeline_forms_no_whitened_map(overdetermined):
     est.apply(y)
     covariance(est, model.C_nn).per_element_variance
     assert "E_w" not in est.__dict__ and "E" not in est.__dict__
+
+
+def test_no_solve_against_the_gram_factor_takes_an_identity_right_hand_side(monkeypatch):
+    # BLUE's variance rows, the direct form's T^H and the full-rank covariance all
+    # come from the triangular inverse L_G^-1, not from solves of L_G X = I
+    rng = np.random.default_rng(29)
+    h = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+    root = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    model = LinearModel(h, root @ root.conj().T + np.eye(9))
+    constraints = ConstraintSet(rng.standard_normal((2, 5)), rng.standard_normal(2))
+    solved = []
+
+    def recording(factor, rhs, adjoint=False):
+        solved.append((factor.dim, np.shape(rhs)))
+        return half_solve(factor, rhs, adjoint)
+
+    for module in ("estimators", "model", "numerics"):
+        monkeypatch.setattr(f"cblue.{module}.half_solve", recording)
+    for est in (blue(model), cblue_direct(model, constraints)):
+        covariance(est, model.C_nn).per_element_variance
+    analytic_cblue_covariance(model, constraints)
+    against_gram = [shape for dim, shape in solved if dim == model.n_x]
+    assert against_gram, "no solve against L_G was recorded"
+    assert all(shape[1:] != (model.n_x,) for shape in against_gram), against_gram
 
 
 # H x = y with x_1 = x_2 and C_nn = I: every method estimates (y1 + y2 + 2 y3) / 6 per

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cblue.errors import (
     DimensionMismatch,
@@ -169,6 +169,31 @@ def test_parameterize_rejects_infeasible_particular():
 def test_nullspace_param_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         NullspaceParam(np.array([[1.0], [1.0]]), np.zeros(2))
+
+
+def test_parameterize_forms_no_gram_of_the_basis_it_built(monkeypatch):
+    # nullspace_basis returns orthonormal columns by construction, so N^H N is not re-formed
+    def forbidden(w):
+        raise AssertionError("formed N^H N")
+
+    rng = np.random.default_rng(47)
+    constraints = ConstraintSet(
+        rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)), rng.standard_normal(3)
+    )
+    monkeypatch.setattr("cblue.model._lower_gram", forbidden)
+    param = parameterize(constraints)
+    moved = parameterize(constraints, particular=param.particular + param.basis[:, 0])
+    with pytest.raises(AssertionError, match="formed N"):
+        NullspaceParam(param.basis, param.particular)
+    monkeypatch.undo()
+    for built in (param, moved):
+        checked = NullspaceParam(built.basis, built.particular)
+        assert_array_equal(built.basis, checked.basis)
+        assert_array_equal(built.particular, checked.particular)
+        assert built.n0 == checked.n0 == 5
+        assert not built.basis.flags.writeable and not built.particular.flags.writeable
+    with pytest.raises(ValueError, match="orthonormal"):
+        NullspaceParam(2.0 * param.basis, param.particular)
 
 
 def test_nullspace_param_refuses_a_basis_whose_gram_overflows():

@@ -19,6 +19,7 @@ from cblue.numerics import (
     hermitized,
     hpd_factor,
     hpd_solve,
+    inverse_factor,
     least_norm_solution,
     nullspace_basis,
     numerical_rank,
@@ -233,6 +234,25 @@ def test_half_solve_refuses_zero_pivot():
     factor = HpdFactor(lower=np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(NotPositiveDefinite):
         hpd_solve(factor, np.ones(2))
+
+
+@pytest.mark.parametrize("n, span", [(1, 1.0), (2, 1.0), (7, 1e6), (60, 1e10)])
+def test_inverse_factor_is_lower_and_inverts_within_conditioning(n, span):
+    # eigenvalues from 1 to span make cond(L) = sqrt(span)
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    factor = hpd_factor(hermitized((q * np.logspace(0, np.log10(span), n)) @ q.conj().T))
+    inverse = inverse_factor(factor)
+    assert_allclose(inverse, np.tril(inverse), rtol=0, atol=0)
+    lower = factor.lower
+    residual = np.linalg.norm(lower @ inverse - np.eye(n), 2)
+    assert residual <= n * np.finfo(float).eps * np.linalg.cond(lower)
+
+
+def test_inverse_factor_refuses_zero_pivot():
+    factor = HpdFactor(lower=np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(NotPositiveDefinite, match="zero pivot at diagonal 1"):
+        inverse_factor(factor)
 
 
 # Entries near 2^600 square to beyond double range, so a norm taken in the
