@@ -58,6 +58,7 @@ from .model import (
     LinearModel,
     NullspaceParam,
     _check_parameter_dims,
+    _unformed,
     parameterize,
 )
 from .numerics import (
@@ -253,13 +254,6 @@ class _WhitenedCovariance(CovarianceResult):
         return c
 
 
-def _unformed(cls, **attributes):
-    """An instance of ``cls`` holding ``attributes``, built without ``__init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(attributes)
-    return obj
-
-
 def _gram_factor(h: np.ndarray):
     """Factor ``H^H H`` for the unwhitened least-squares estimators, or raise ``RankDeficient``."""
     return gram_factor(RankDeficient, "measurement matrix", h)
@@ -277,7 +271,7 @@ def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
 
 def _constrained_inverse(step: ConstraintStep) -> np.ndarray:
     """``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the step in u on ``L_G^-1`` for its factor ``L_G``."""
-    return step.complement(inverse_factor(step.factor), overwrite=True)
+    return step.complement(inverse_factor(step.factor))
 
 
 def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) -> AffineEstimator:

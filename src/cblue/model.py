@@ -206,7 +206,7 @@ def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:
     """
     basis = nullspace_basis(constraints.A)
     if particular is None:
-        xp = least_norm_solution(constraints.A, constraints.b)
+        xp = as_vector(least_norm_solution(constraints.A, constraints.b), "particular solution")
     else:
         xp = as_vector(particular, "particular solution")
         if xp.shape[0] != constraints.n_x:
@@ -224,17 +224,12 @@ def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:
             raise EstimationError(
                 "supplied particular solution does not satisfy the constraints"
             )
-    return _own_basis_param(basis, xp)
+    # the Gram check of the constructor is skipped: nullspace_basis made this basis orthonormal
+    return _unformed(NullspaceParam, basis=basis, particular=xp, n0=basis.shape[1])
 
 
-def _own_basis_param(basis: np.ndarray, particular: np.ndarray) -> NullspaceParam:
-    """:class:`NullspaceParam` of a read-only basis :func:`nullspace_basis` made orthonormal.
-
-    Its orthonormality check, the Gram ``basis^H basis``, is skipped; a basis from
-    outside the package is checked by the constructor.
-    """
-    param = object.__new__(NullspaceParam)
-    param.__dict__.update(
-        basis=basis, particular=as_vector(particular, "particular solution"), n0=basis.shape[1]
-    )
-    return param
+def _unformed(cls, **attributes):
+    """An instance of ``cls`` holding ``attributes``, built without ``__init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attributes)
+    return obj

@@ -290,13 +290,10 @@ class ConstraintStep:
     offset: np.ndarray
     factor: HpdFactor | None
 
-    def complement(self, m, overwrite: bool = False):
-        """``m - Q (Q^H m)``: the map ``u = m y`` projected, in u.
-
-        ``overwrite`` subtracts in ``m`` itself: pass it only for a private array.
-        """
+    def complement(self, m):
+        """``m - Q (Q^H m)``: the map ``u = m y`` projected, in u."""
         correction = self.q_adjoint.conj().T @ (self.q_adjoint @ m)
-        return np.subtract(m, correction, out=m if overwrite else None)
+        return np.subtract(m, correction, out=correction)
 
     def project(self, m):
         """The map ``u = m y`` projected, in x: ``L^-H (m - Q (Q^H m))``.
