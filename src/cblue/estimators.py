@@ -14,19 +14,23 @@ itself to have full column rank.
 
 The whitened constructors (BLUE and both constrained BLUE forms) solve least
 squares on the whitened model ``L^-1 y = L^-1 H x + w`` and keep its factors,
-not its n_x x n_y map: the whitened matrix W, the Cholesky factor ``L_G`` of
-``W^H W``, the lift (the nullspace basis, or none), the offset f, the model's
-own ``C_nn`` array and its factor L.  The whitened map is
+not its n_x x n_y map.  Each keeps the whitened matrix W, the offset f, the
+model's own ``C_nn`` array and its factor L.  BLUE also keeps the Cholesky
+factor ``L_G`` of ``W^H W``, the nullspace form keeps ``L_G`` and the lift (the
+nullspace basis), and the direct form keeps ``T^H`` alone.  The whitened map is
 ``E_w = lift T T^H W^H``, where ``T = L_G^-H`` for BLUE and the nullspace form
 and ``T = L_G^-H (I - Q Q^H)``, the constraint step applied to ``L_G^-H``, for
-the direct form.  The direct form keeps ``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the
-step's projection in u applied to the triangular inverse ``L_G^-1``.  They
-apply the map as ``lift T T^H W^H (L^-1 y) + f``: two products with the kept
-``T^H`` for the direct form, two solves against ``L_G`` for the others, so
-O(n^2) per measurement vector.  ``E_w`` and ``E = E_w L^-1`` are formed,
-by the formulas the constructors once used, only when first read or when a
-batch of measurements is wide enough that forming E costs less; BLUE forms
-``E_w`` at construction, so a non-finite map is refused there.
+the direct form, whose lift is the identity.  The direct form's
+``T^H = L_G^-1 - Q (Q^H L_G^-1)`` is the step's projection in u applied to the
+triangular inverse ``L_G^-1``; it is built in the buffer of its own fresh Gram
+factor, which it overwrites, so ``L_G`` is gone once the estimator exists.
+Every form applies the map as ``lift T T^H W^H (L^-1 y) + f``: two products with
+the kept ``T^H`` for the direct form, two solves against ``L_G`` for the others,
+so O(n^2) per measurement vector.  One formula, ``E_w = lift (T T^H W^H)``,
+forms the whitened map of every form, and ``E = E_w L^-1``; both are formed
+only when first read or when a batch of measurements is wide enough that
+forming E costs less.  BLUE forms ``E_w`` at construction, so a non-finite map
+is refused there.
 The error covariance ``E C_nn E^H`` is then ``E_w E_w^H = lift T T^H lift^H``:
 handed that very ``C_nn`` array, :func:`covariance` takes the per-element
 variances from the squared row norms of ``lift T``, the variance rows: the
@@ -177,7 +181,7 @@ class _WhitenedEstimator(AffineEstimator):
     With ``W^H W = L_G L_G^H``, ``E_w = lift G^-1 W^H`` for ``G^-1 = L_G^-H L_G^-1``,
     where the lift is the nullspace basis or None (the identity).  The estimator
     keeps W, L_G, the lift, the offset and the noise factor L; ``E_w`` and E are
-    formed on first read, by the formulas the constructors once used.
+    formed on first read, from :meth:`_core` applied to ``W^H``.
     """
 
     _lift = None
@@ -197,10 +201,6 @@ class _WhitenedEstimator(AffineEstimator):
             return inverse_factor(self._gram).T
         return half_solve(self._gram, self._lift.conj().T).T
 
-    def _core_w(self):
-        """``G^-1 W^H``, the whitened map before the lift."""
-        return hpd_solve(self._gram, self._w.conj().T)
-
     def _factored(self, arr):
         """``lift G^-1 W^H L^-1 arr``, ``L^-1 arr`` scaled by a power of 2 so no step overflows."""
         z = half_solve(self._noise_factor, arr)
@@ -210,7 +210,7 @@ class _WhitenedEstimator(AffineEstimator):
 
     @cached_property
     def E_w(self):
-        e_w = self._core_w()
+        e_w = self._core(self._w.conj().T)
         if self._lift is not None:
             e_w = self._lift @ e_w
         if not np.isfinite(e_w).all():
@@ -224,22 +224,19 @@ class _WhitenedEstimator(AffineEstimator):
             return as_matrix(_unwhitened(self._noise_factor, self.E_w), "estimator matrix")
         # unwhitening before lifting solves against the reduced map, which has n0
         # rows, so its adjoint is tall even when the model is underdetermined
-        e = _unwhitened(self._noise_factor, self._core_w())
+        e = _unwhitened(self._noise_factor, self._core(self._w.conj().T))
         return as_matrix(self._lift @ e, "estimator matrix")
 
 
 @dataclass(frozen=True, eq=False)
 class _ConstrainedWhitenedEstimator(_WhitenedEstimator):
-    """The direct constrained form: ``G^-1`` becomes ``T T^H``, of the kept ``T^H``."""
+    """The direct constrained form: ``G^-1`` becomes ``T T^H``, and ``T^H`` is kept in place of ``L_G``."""
 
     def _core(self, u):
         return _adjoint_times(self._t_adjoint, self._t_adjoint @ u)
 
     def _variance_rows(self):
         return self._t_adjoint.T
-
-    def _core_w(self):
-        return self._step.least_squares(self._w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +267,15 @@ def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
 
 
 def _constrained_inverse(step: ConstraintStep) -> np.ndarray:
-    """``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the step in u on ``L_G^-1`` for its factor ``L_G``."""
-    return step.complement(inverse_factor(step.factor))
+    """``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the step in u on ``L_G^-1`` for its factor ``L_G``.
+
+    ``T^H`` is built in the buffer of ``L_G``, inverted in place and then corrected in
+    place, so the step is consumed: pass only a step on a fresh Gram factor that
+    nothing else holds.
+    """
+    t_adjoint = step.complement(inverse_factor(step.factor, overwrite=True), overwrite=True)
+    t_adjoint.flags.writeable = False
+    return t_adjoint
 
 
 def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) -> AffineEstimator:
@@ -318,10 +322,10 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     _check_parameter_dims(model, constraints)
     w, factor = model.whitened_gram(model.H)
     step = constraint_step(constraints.A, constraints.b, factor)
-    # E_w = T T^H W^H is formed only when read
+    # E_w = T T^H W^H is formed only when read; T^H takes over the buffer of the factor
     return _whitened_estimator(
         _ConstrainedWhitenedEstimator, model, w, step.offset, "cblue_direct",
-        _t_adjoint=_constrained_inverse(step), _step=step,
+        _t_adjoint=_constrained_inverse(step),
     )
 
 
@@ -434,7 +438,7 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     ``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1``; the two agree whenever both
     are defined.  The full-rank form is ``T T^H``, with ``T = R^-1 (I - Q Q^H)`` the
     constraint step applied to ``R^-1`` for ``P = R^H R``, formed as the direct
-    form's ``T^H``: nothing cancels.
+    form's ``T^H``, in the buffer of a fresh Gram factor: nothing cancels.
     """
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis

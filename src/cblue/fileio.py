@@ -73,7 +73,12 @@ def load_matrix(path) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: data[{index}] must be a [re, im] pair of numbers"
             )
-        values[index] = complex(entry[0], entry[1])
+        try:
+            values[index] = complex(entry[0], entry[1])
+        except OverflowError as exc:
+            raise FileFormatError(
+                f"{path}: data[{index}] is outside the range of double precision"
+            ) from exc
     if not np.isfinite(values).all():
         raise FileFormatError(f"{path}: entries must be finite")
     return values.reshape(rows, cols)
@@ -122,7 +127,7 @@ def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an :class:`ExperimentSpec`, laundering config errors."""
     try:
         return ExperimentSpec(**config)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"invalid experiment configuration: {exc}") from exc
 
 

@@ -19,13 +19,13 @@ from .numerics import (
     HpdFactor,
     _hermitian_gated_factor,
     _lower_gram,
+    _rank,
     as_matrix,
     as_vector,
     gram_factor,
     half_solve,
     least_norm_solution,
     nullspace_basis,
-    numerical_rank,
 )
 
 REDUCED = "reduced measurement matrix H N"
@@ -100,7 +100,7 @@ class ConstraintSet:
                 f"constraints must leave degrees of freedom: got {a.shape[0]} rows "
                 f"for {a.shape[1]} parameters"
             )
-        if numerical_rank(a) < a.shape[0]:
+        if _rank(np.linalg.svd(a, compute_uv=False), a.shape) < a.shape[0]:
             raise RankDeficientConstraints(
                 "constraint matrix is not full row rank; remove redundant rows"
             )

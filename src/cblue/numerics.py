@@ -7,7 +7,7 @@ and the constraint step: the orthogonal projection onto ``A @ x = b`` that
 every constrained map and every least-norm solution comes from.  All
 routines accept real input and promote it to complex.
 
-Four BLAS and LAPACK routines from scipy do the work:
+Five BLAS and LAPACK routines from scipy do the work:
 
 - ``zherk``, the Hermitian rank-k update, forms every Gram matrix ``W^H W`` of
   one matrix W, the constraint step's included.  It fills the lower triangle
@@ -17,7 +17,13 @@ Four BLAS and LAPACK routines from scipy do the work:
   place; an array from a caller is factored in a copy.
 - ``ztrtrs`` solves against a factor, in :func:`half_solve`.
 - ``ztrtri`` inverts a factor, in :func:`inverse_factor`, at a third of the
-  flops of solving against the identity.
+  flops of solving against the identity.  It inverts a copy unless asked to
+  overwrite, which only a caller that made the factor and drops it may ask.
+- ``zgemm`` adds ``-Q (Q^H m)`` into ``m`` itself when
+  :meth:`ConstraintStep.complement` is asked to overwrite; otherwise the step
+  writes into a new array and never into ``m``.
+
+Every other call leaves its inputs as they were.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
+from scipy.linalg.blas import zgemm, zherk
 from scipy.linalg.lapack import zpotrf, ztrtri, ztrtrs
 
 from .errors import (
@@ -226,9 +232,16 @@ def half_solve(factor: HpdFactor, rhs, adjoint: bool = False):
     return solution
 
 
-def inverse_factor(factor: HpdFactor) -> np.ndarray:
-    """``L^-1`` for the factor L: a new Fortran-order lower-triangular array, zero above."""
-    inverse, info = ztrtri(factor.lower, lower=1)
+def inverse_factor(factor: HpdFactor, overwrite: bool = False) -> np.ndarray:
+    """``L^-1`` for the factor L: a Fortran-order lower-triangular array, zero above.
+
+    The array is new unless ``overwrite``, which inverts in ``factor.lower`` itself and
+    leaves it writable: pass it only for a factor made for the caller alone, such as
+    a :func:`gram_factor` result, which is not read as L again.
+    """
+    if overwrite:
+        factor.lower.flags.writeable = True
+    inverse, info = ztrtri(factor.lower, lower=1, overwrite_c=overwrite)
     if info:
         raise NotPositiveDefinite(f"factor has a zero pivot at diagonal {info - 1}")
     return inverse
@@ -290,8 +303,15 @@ class ConstraintStep:
     offset: np.ndarray
     factor: HpdFactor | None
 
-    def complement(self, m):
-        """``m - Q (Q^H m)``: the map ``u = m y`` projected, in u."""
+    def complement(self, m, overwrite: bool = False):
+        """``m - Q (Q^H m)``: the map ``u = m y`` projected, in u.
+
+        ``overwrite`` adds ``-Q (Q^H m)`` into ``m``, a writable Fortran-order complex
+        array, by one ``zgemm``, and returns it; otherwise ``m`` is left unchanged.
+        """
+        if overwrite:
+            q = self.q_adjoint
+            return zgemm(-1.0, q, q @ m, beta=1.0, c=m, trans_a=2, overwrite_c=1)
         correction = self.q_adjoint.conj().T @ (self.q_adjoint @ m)
         return np.subtract(m, correction, out=correction)
 

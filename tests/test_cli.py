@@ -257,6 +257,25 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["matrix", "k_grid", "base_noise_diag"])
+def test_integers_beyond_double_range_end_in_one_error_line(colored_problem, tmp_path, capsys, where):
+    huge = 10**400
+    if where == "matrix":
+        colored_problem["y"].write_text(
+            json.dumps({"rows": 2, "cols": 1, "data": [[1, 0], [huge, 0]]})
+        )
+        argv = estimate_args(colored_problem)
+    else:
+        value = [0.1, huge] if where == "k_grid" else [1.0, 0.5, huge, 0.1]
+        config = experiment_config(tmp_path, **{where: value})
+        argv = ["experiment", "--config", str(config), "--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "overrides", [{"trials": 2.5}, {"seed": 1.5}, {"trials": True}]
 )

@@ -29,7 +29,13 @@ from cblue.estimators import (
     project_onto_constraints,
 )
 from cblue.model import ConstraintSet, LinearModel, parameterize
-from cblue.numerics import half_solve, least_norm_solution
+from cblue.numerics import (
+    constraint_step,
+    half_solve,
+    hpd_factor,
+    inverse_factor,
+    least_norm_solution,
+)
 from cblue.verify import random_instance
 
 
@@ -560,6 +566,51 @@ def test_no_solve_against_the_gram_factor_takes_an_identity_right_hand_side(monk
     against_gram = [shape for dim, shape in solved if dim == model.n_x]
     assert against_gram, "no solve against L_G was recorded"
     assert all(shape[1:] != (model.n_x,) for shape in against_gram), against_gram
+
+
+def test_direct_form_builds_t_adjoint_in_its_own_gram_factor():
+    # W and the one n_x x n_x Gram buffer, which becomes T^H, are all the direct form
+    # allocates at this size; a copy of L_G or an n_x x n_x product would add another
+    import tracemalloc
+
+    rng = np.random.default_rng(31)
+    n_y, n_x, n_b = 240, 200, 5
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    model = LinearModel(gaussian(n_y, n_x), np.diag(rng.uniform(1.0, 2.0, n_y)))
+    constraints = ConstraintSet(gaussian(n_b, n_x), gaussian(n_b))
+    cblue_direct(model, constraints)
+    tracemalloc.start()
+    try:
+        est = cblue_direct(model, constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    square = 16 * n_x * n_x
+    assert peak <= 16 * n_y * n_x + square + square // 2, peak
+    assert est._t_adjoint.shape == (n_x, n_x) and not est._t_adjoint.flags.writeable
+
+
+def test_factors_a_caller_holds_stay_unchanged_and_read_only():
+    # only a Gram factor made inside the constructor is overwritten
+    rng = np.random.default_rng(33)
+    model, constraints, _ = draw_instance(rng)
+    held = hpd_factor(model.C_nn)
+    estimator = blue(model)
+    factors = (model.noise_factor.lower, held.lower, estimator._gram.lower)
+    before = [lower.copy() for lower in factors]
+    covariance(estimator, model.C_nn).C
+    direct = cblue_direct(model, constraints)
+    direct.E, covariance(direct, model.C_nn).C
+    analytic_cblue_covariance(model, constraints)
+    inverse_factor(held)
+    step = constraint_step(model.H.conj().T, np.zeros(model.n_x), held)
+    step.project(model.C_nn)
+    for lower, copy in zip(factors, before):
+        assert_array_equal(lower, copy)
+        assert not lower.flags.writeable
 
 
 # H x = y with x_1 = x_2 and C_nn = I: every method estimates (y1 + y2 + 2 y3) / 6 per

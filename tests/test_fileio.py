@@ -81,6 +81,18 @@ def test_load_matrix_rejects_non_finite(tmp_path):
         load_matrix(target)
 
 
+def test_integers_beyond_double_range_are_format_errors(tmp_path):
+    # json parses 1 followed by 400 zeros as an exact int, which float() cannot hold
+    huge = 10**400
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps({"rows": 1, "cols": 2, "data": [[1, 0], [huge, 0]]}))
+    with pytest.raises(FileFormatError, match=r"data\[1\]"):
+        load_matrix(target)
+    for config in ({"k_grid": [1.0, huge]}, {"base_noise_diag": [1.0, 0.5, huge, 0.2, 0.1]}):
+        with pytest.raises(FileFormatError):
+            spec_from_config(config)
+
+
 def test_config_round_trip(tmp_path):
     target = tmp_path / "config.json"
     write_json(target, {"trials": 12, "seed": 9, "k_grid": [0.5, 1.0]})

@@ -187,3 +187,15 @@ def test_full_rank_covariance_at_suite_seed_331_matches_high_precision(route):
     reference = _reference_covariance(model, constraints)
     error = np.linalg.norm(route(model, constraints).C - reference) / np.linalg.norm(reference)
     assert error <= 1e-11
+
+
+@pytest.mark.parametrize("span", SPAN_RTOL)
+def test_direct_form_map_across_noise_covariance_spans(span):
+    # E = T T^H W^H L^-1 from the kept T^H, against M H^H C^-1 at 50 digits
+    h, c_nn, a, b, _ = _instance(span)
+    model = LinearModel(h, c_nn)
+    with mpmath.workdps(50):
+        _, weighted_h, _, _, m = _closed_forms(h, c_nn, a, b)
+        reference = np.array((m * weighted_h.H).tolist(), dtype=complex)
+    e = cblue_direct(model, ConstraintSet(a, b)).E
+    assert np.linalg.norm(e - reference) / np.linalg.norm(reference) <= SPAN_RTOL[span]
