@@ -204,7 +204,7 @@ class _WhitenedEstimator(AffineEstimator):
     def _factored(self, arr):
         """``lift G^-1 W^H L^-1 arr``, ``L^-1 arr`` scaled by a power of 2 so no step overflows."""
         z = half_solve(self._noise_factor, arr)
-        power = reciprocal_power(float(np.abs(z.ravel("K").view(np.float64)).max()))
+        power = reciprocal_power(float(np.abs(z.ravel("K").view(np.float64)).max(initial=0.0)))
         x = self._core(_adjoint_times(self._w, z * power))
         return (x if self._lift is None else self._lift @ x) / power
 

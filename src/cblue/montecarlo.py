@@ -32,6 +32,11 @@ trials are batched.  A Gram matrix with a pivot that is not positive ends
 the sweep with an ``EstimationError`` naming its noise level and trials.
 ``run_reference_trial`` runs one trial through the public estimator API,
 the path that the batch kernel is tested against.
+
+The sweep runs on numpy alone: it calls none of the scipy kernels of
+``numerics``, so it never loads scipy.  It gates its noise diagonal with the
+package's pivot rule, on the pivots a Cholesky factorization of a diagonal
+matrix has, and parameterizes its constraint by numpy's SVD.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ from .estimators import (
     ls,
     mean_subtracted,
 )
-from .model import ConstraintSet, LinearModel, NullspaceParam, parameterize
-from .numerics import as_vector, hpd_factor
+from .model import ConstraintSet, LinearModel, NullspaceParam, _unformed
+from .numerics import as_vector, check_pivots, nullspace_basis
 
 ESTIMATOR_KINDS = ("ls", "ls_meansub", "cls", "blue", "blue_meansub", "cblue")
 
@@ -234,9 +239,17 @@ def _trial_rng(seed: int, k_index: int) -> np.random.Generator:
 
 @functools.lru_cache(maxsize=16)
 def _zero_sum_setup(n_x: int) -> tuple[ConstraintSet, NullspaceParam]:
-    """The experiment's constraint ``ones @ x = 0`` and its parameterization."""
+    """The experiment's constraint ``ones @ x = 0`` and its parameterization.
+
+    The right-hand side is zero, so the particular solution is zero and the
+    parameterization needs only the nullspace basis, which numpy's SVD gives.
+    """
     constraints = ConstraintSet(np.ones((1, n_x)), np.zeros(1))
-    return constraints, parameterize(constraints)
+    basis = nullspace_basis(constraints.A)
+    particular = np.zeros(n_x, dtype=np.complex128)
+    particular.flags.writeable = False
+    param = _unformed(NullspaceParam, basis=basis, particular=particular, n0=basis.shape[1])
+    return constraints, param
 
 
 def _block_width(spec: ExperimentSpec, param: NullspaceParam) -> int:
@@ -503,13 +516,17 @@ def run_experiment(spec: ExperimentSpec) -> MseReport:
     rank-deficient convolution matrix ends the sweep with an
     ``EstimationError`` naming its k and the trials of its batch at that k.
     Identical specs produce identical reports.
+
+    The sweep runs on numpy alone and loads no scipy.  Its noise diagonal is
+    gated by the package's pivot rule (:func:`~cblue.numerics.check_pivots`),
+    so it refuses exactly the diagonals that ``LinearModel`` refuses.
     """
     n_x = spec.n_x
     base_diag = np.asarray(spec.base_noise_diag)
-    # The sweep accepts the noise diagonals that LinearModel accepts.  The
-    # pivot gate scales with k, so checking k = 1 covers every level; a failing
+    # np.square(np.sqrt(d)) are the pivots zpotrf returns for diag(d).  The
+    # gate scales with k, so checking k = 1 covers every level; a failing
     # diagonal ends the sweep here (test_experiment_reports_estimation_failure).
-    hpd_factor(np.diag(base_diag))
+    check_pivots(np.square(np.sqrt(base_diag)), base_diag.max())
     _, param = _zero_sum_setup(n_x)
     width = _block_width(spec, param)
     diags = [k * base_diag for k in spec.k_grid]

@@ -24,6 +24,13 @@ Five BLAS and LAPACK routines from scipy do the work:
   writes into a new array and never into ``m``.
 
 Every other call leaves its inputs as they were.
+
+The five are bound on first use.  Until a kernel first calls one of them, each
+name holds a stand-in, and nothing from scipy is imported.  The first call of
+any stand-in imports ``scipy.linalg``, binds every name that still holds its
+stand-in to scipy's own wrapper and forwards the call; later calls reach scipy
+directly.  Code that needs no kernel, the Monte Carlo sweep among it, never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zgemm, zherk
-from scipy.linalg.lapack import zpotrf, ztrtri, ztrtrs
 
 from .errors import (
     DimensionMismatch,
@@ -48,6 +53,39 @@ from .errors import (
 _EPS = float(np.finfo(np.float64).eps)
 _HERMITIAN_RTOL = 1e-12
 _ASYMMETRY_BLOCK = 128
+_BLAS_ROUTINES = ("zgemm", "zherk")
+_LAPACK_ROUTINES = ("zpotrf", "ztrtri", "ztrtrs")
+
+
+def _bind_routines() -> dict:
+    """Import scipy's five routines and bind each name here that still holds its stand-in.
+
+    A name that something else has replaced in the meantime keeps its replacement.
+    Returns scipy's routines by name.
+    """
+    from scipy.linalg import blas, lapack
+
+    routines = {name: getattr(blas, name) for name in _BLAS_ROUTINES}
+    routines.update((name, getattr(lapack, name)) for name in _LAPACK_ROUTINES)
+    namespace = globals()
+    for name, routine in routines.items():
+        if getattr(namespace[name], "_stands_for", None) == name:
+            namespace[name] = routine
+    return routines
+
+
+def _stand_in(name: str):
+    """Stand-in for scipy's routine ``name``: binds all five on its first call and forwards it."""
+
+    def routine(*args, **kwargs):
+        return _bind_routines()[name](*args, **kwargs)
+
+    routine.__name__ = routine.__qualname__ = name
+    routine._stands_for = name
+    return routine
+
+
+zgemm, zherk, zpotrf, ztrtri, ztrtrs = map(_stand_in, _BLAS_ROUTINES + _LAPACK_ROUTINES)
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -177,22 +215,33 @@ def _hermitian_gated_factor(arr: np.ndarray) -> HpdFactor:
 def _pivot_gated_factor(arr: np.ndarray, overwrite: bool = False) -> HpdFactor:
     """Cholesky factor of the finite Hermitian matrix whose lower triangle ``arr`` holds.
 
-    One pivot gate serves the package.  ``overwrite`` factors ``arr`` in place: pass
-    it only for a private Fortran-order array such as the Gram :func:`gram_factor`
-    forms, never for an array that came from outside the package.
+    ``overwrite`` factors ``arr`` in place: pass it only for a private Fortran-order
+    array such as the Gram :func:`gram_factor` forms, never for an array that came
+    from outside the package.
     """
-    threshold = arr.shape[0] * _EPS * max(arr.diagonal().real.max(), 0.0)
+    peak = arr.diagonal().real.max()
     lower, info = zpotrf(arr, lower=1, clean=1, overwrite_a=overwrite)
     if info:
         raise NotPositiveDefinite("matrix is not positive definite")
-    pivots = np.square(lower.diagonal().real)
+    check_pivots(np.square(lower.diagonal().real), peak)
+    lower.flags.writeable = False
+    return HpdFactor(lower=lower)
+
+
+def check_pivots(pivots: np.ndarray, peak: float) -> None:
+    """The package's one pivot gate, on the squared Cholesky pivots of a matrix.
+
+    ``peak`` is the largest diagonal entry of the matrix.  A pivot at or below
+    ``n * eps * max(peak, 0)`` raises ``NotPositiveDefinite``.  A positive diagonal
+    d has the pivots ``np.square(np.sqrt(d))``, exactly those ``zpotrf`` returns for
+    ``diag(d)``, so it is gated without a factorization.
+    """
+    threshold = pivots.shape[0] * _EPS * max(peak, 0.0)
     if (pivots <= threshold).any():
         raise NotPositiveDefinite(
             f"matrix is numerically semidefinite: pivot {pivots.min():.3e} "
             f"at or below threshold {threshold:.3e}"
         )
-    lower.flags.writeable = False
-    return HpdFactor(lower=lower)
 
 
 def gram_factor(rank_error: type[EstimationError], subject: str, w) -> HpdFactor:

@@ -298,11 +298,11 @@ def run_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
         Before any draw, unless ``instances`` is a positive integer and
         ``seed`` an integer in ``[0, 2**64)``.
     """
-    if not isinstance(instances, numbers.Integral) or instances < 1:
+    if not isinstance(instances, numbers.Integral) or isinstance(instances, bool) or instances < 1:
         raise SuiteArgumentError(
             f"instances per property must be a positive integer, got {instances!r}"
         )
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise SuiteArgumentError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     results = []
     for index, check in enumerate(_SUITE):

@@ -164,7 +164,9 @@ def test_a_nan_residual_fails_its_property_and_names_its_instance(nan_from):
     assert result.worst_shape == (model.n_y, model.n_x, constraints.n_b)
 
 
-@pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1), (5, 2**64), (5, 1.5)])
+@pytest.mark.parametrize(
+    "instances, seed", [(0, 0), (-3, 0), (5, -1), (5, 2**64), (5, 1.5), (True, 0), (5, False)]
+)
 def test_run_suite_refuses_bad_arguments_before_drawing(monkeypatch, instances, seed):
     def forbidden(*args, **kwargs):
         raise AssertionError("drew an instance")

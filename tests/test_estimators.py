@@ -637,6 +637,14 @@ def test_apply_keeps_an_estimate_near_the_top_of_double_range(method):
     assert_allclose(est.apply(np.full(3, 1.7e308)), [1.7e308 / 3 * 2] * 2, rtol=1e-15)
 
 
+@pytest.mark.parametrize("method", _METHODS)
+def test_apply_to_an_empty_batch_returns_no_columns(method):
+    # the whitened forms take the peak of L^-1 y for their scaling, which has no entries here
+    est = _METHODS[method](LinearModel(PROBE_H, np.diag([1.0, 2.0, 3.0])), PROBE_CONSTRAINT)
+    x = est.apply(np.zeros((3, 0)))
+    assert x.shape == (2, 0) and x.dtype == np.complex128
+
+
 def test_estimator_refuses_a_non_finite_whitened_map(monkeypatch):
     # the deferred E is refused at construction, as the eager one was
     import cblue.estimators as estimators

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +20,7 @@ from cblue.errors import (
 from cblue.model import LinearModel
 from cblue.numerics import (
     HpdFactor,
+    check_pivots,
     gram_factor,
     half_solve,
     hermitized,
@@ -348,6 +355,102 @@ def test_indefinite_input_is_refused_by_the_lapack_info(monkeypatch):
     with pytest.raises(NotPositiveDefinite, match="not positive definite"):
         hpd_factor(np.diag([1.0, 2.0, -1.0]))
     assert infos == [3]
+
+
+def run_python(code: str, *argv: str) -> None:
+    """Run ``code`` in a new interpreter that imports this package; fail on a non-zero exit."""
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_sweep_loads_no_scipy_and_the_first_kernel_call_binds_scipys_routines(tmp_path):
+    run_python(
+        """
+        import contextlib, io, sys
+        import cblue, cblue.cli, cblue.fileio, cblue.verify
+        from cblue import numerics
+
+        cblue.run_experiment(cblue.ExperimentSpec(trials=20))
+        argv = ["experiment", "--trials", "20", "--seed", "1", "--output", sys.argv[1]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cblue.cli.main(argv) == 0
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert not loaded, loaded[:5]
+
+        import numpy as np
+        cblue.hpd_factor(np.eye(2))
+        import scipy.linalg
+        for module, names in ((scipy.linalg.blas, ("zgemm", "zherk")),
+                              (scipy.linalg.lapack, ("zpotrf", "ztrtri", "ztrtrs"))):
+            for name in names:
+                assert getattr(numerics, name) is getattr(module, name), name
+        """,
+        str(tmp_path / "sweep.csv"),
+    )
+
+
+def test_a_routine_replaced_before_the_first_call_stays_replaced():
+    run_python(
+        """
+        import numpy as np
+        from cblue import numerics
+
+        calls = []
+        stand_in = numerics.ztrtrs
+
+        def recording(*args, **kwargs):
+            calls.append(args[1].shape)
+            return stand_in(*args, **kwargs)
+
+        numerics.ztrtrs = recording
+        x = numerics.hpd_solve(numerics.hpd_factor(np.diag([4.0, 9.0])), np.ones(2))
+        assert np.array_equal(x, [0.25, 1.0 / 9.0]), x
+        assert calls == [(2,), (2,)], calls
+        import scipy.linalg
+        assert numerics.ztrtrs is recording
+        assert numerics.zpotrf is scipy.linalg.lapack.zpotrf
+        """
+    )
+
+
+def _refusal(gate, d):
+    """The message ``gate(d)`` raises ``NotPositiveDefinite`` with, or None if it accepts."""
+    try:
+        gate(d)
+    except NotPositiveDefinite as exc:
+        return str(exc)
+    return None
+
+
+def test_diagonal_pivot_gate_decides_as_the_factorization_does():
+    rng = np.random.default_rng(2024)
+    draws = [np.array([1.0] * 9 + [1e-17])]
+    for index in range(3000):
+        d = np.exp(rng.uniform(-40.0, 40.0, rng.integers(1, 14)))
+        if index % 3 == 0 and d.size > 1:
+            # one entry at the threshold of the others, or one ulp either side
+            rest = np.delete(d, 0)
+            threshold = d.size * np.finfo(float).eps * rest.max()
+            d[0] = (threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, np.inf))[
+                index // 3 % 3
+            ]
+        draws.append(d)
+    refused = 0
+    for d in draws:
+        lower, info = numerics.zpotrf(np.diag(d).astype(np.complex128), lower=1, clean=1)
+        assert info == 0 and np.array_equal(np.square(lower.diagonal().real), np.square(np.sqrt(d)))
+        expected = _refusal(hpd_factor, np.diag(d))
+        assert _refusal(lambda d: check_pivots(np.square(np.sqrt(d)), d.max()), d) == expected
+        refused += expected is not None
+    assert 0 < refused < len(draws)
 
 
 def test_factoring_leaves_a_writable_fortran_input_unchanged():
