@@ -57,7 +57,6 @@ from .errors import (
     SingularKktSystem,
 )
 from .model import (
-    REDUCED,
     ConstraintSet,
     LinearModel,
     NullspaceParam,
@@ -80,6 +79,8 @@ from .numerics import (
     reciprocal_power,
     scaled_asymmetry,
 )
+
+REDUCED = "reduced measurement matrix H N"
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,11 +252,6 @@ class _WhitenedCovariance(CovarianceResult):
         return c
 
 
-def _gram_factor(h: np.ndarray):
-    """Factor ``H^H H`` for the unwhitened least-squares estimators, or raise ``RankDeficient``."""
-    return gram_factor(RankDeficient, "measurement matrix", h)
-
-
 def _adjoint_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``m^H @ v`` for a vector or matrix ``v``, without copying ``m``."""
     return (v.conj().T @ m).conj().T
@@ -293,7 +289,7 @@ def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) ->
 
 def ls(model: LinearModel) -> AffineEstimator:
     """Ordinary least squares; needs a full-column-rank measurement matrix."""
-    e = hpd_solve(_gram_factor(model.H), model.H.conj().T)
+    e = hpd_solve(gram_factor(RankDeficient, "measurement matrix", model.H), model.H.conj().T)
     return AffineEstimator(E=e, f=np.zeros(model.n_x), label="ls")
 
 
@@ -309,8 +305,10 @@ def blue(model: LinearModel) -> AffineEstimator:
 def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
     """Least squares restricted to the constraint set ``A @ x = b``."""
     _check_parameter_dims(model, constraints)
-    step = constraint_step(constraints.A, constraints.b, _gram_factor(model.H))
-    return AffineEstimator(E=step.least_squares(model.H), f=step.offset, label="cls")
+    factor = gram_factor(RankDeficient, "measurement matrix", model.H)
+    step = constraint_step(constraints.A, constraints.b, factor)
+    e = step.project(half_solve(factor, model.H.conj().T))
+    return AffineEstimator(E=e, f=step.offset, label="cls")
 
 
 def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -436,21 +434,19 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     Pass a :class:`NullspaceParam` for the reduced form
     ``N (N^H P N)^-1 N^H`` or a :class:`ConstraintSet` for the full-rank form
     ``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1``; the two agree whenever both
-    are defined.  The full-rank form is ``T T^H``, with ``T = R^-1 (I - Q Q^H)`` the
-    constraint step applied to ``R^-1`` for ``P = R^H R``, formed as the direct
-    form's ``T^H``, in the buffer of a fresh Gram factor: nothing cancels.
+    are defined.  Each reads the factors of its constructor, so it is refused where
+    that constructor is: ``L_G L_G^H = N^H P N`` of :func:`cblue_nullspace`, or the
+    ``T^H`` of :func:`cblue_direct`, ``T = R^-1 (I - Q Q^H)`` for ``P = R^H R``, so
+    that the full-rank form is ``T T^H`` and nothing cancels.
     """
     if isinstance(constraints_or_param, NullspaceParam):
         basis = constraints_or_param.basis
-        _, factor = model.whitened_gram(model.H @ basis, REDUCED, RankDeficientReducedModel)
+        factor = cblue_nullspace(model, constraints_or_param)._gram
         return CovarianceResult(
             C=hermitian_product("error covariance", basis, hpd_solve(factor, basis.conj().T))
         )
     if isinstance(constraints_or_param, ConstraintSet):
-        constraints = constraints_or_param
-        _check_parameter_dims(model, constraints)
-        _, factor = model.whitened_gram(model.H)
-        t_adjoint = _constrained_inverse(constraint_step(constraints.A, constraints.b, factor))
+        t_adjoint = cblue_direct(model, constraints_or_param)._t_adjoint
         return CovarianceResult(
             C=hermitian_product("error covariance", t_adjoint.conj().T, t_adjoint)
         )

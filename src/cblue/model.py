@@ -22,13 +22,11 @@ from .numerics import (
     _rank,
     as_matrix,
     as_vector,
+    constraint_step,
     gram_factor,
     half_solve,
-    least_norm_solution,
     nullspace_basis,
 )
-
-REDUCED = "reduced measurement matrix H N"
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,25 +173,30 @@ class CompatibilityReport:
 def validate(model: LinearModel, constraints: ConstraintSet) -> CompatibilityReport:
     """Check which constrained estimator forms are admissible.
 
-    The direct form needs the whitened measurement matrix ``L^-1 H`` to have
-    full column rank, the nullspace form only ``L^-1 H N`` (N spanning the
-    constraint nullspace), so it also covers underdetermined models.  The
-    estimators' own rank gate decides both, so the report names the form
-    :func:`~cblue.estimators.cblue` uses.
+    Each form is built by its constructor: :func:`~cblue.estimators.cblue_direct`,
+    which needs ``L^-1 H`` to have full column rank, and
+    :func:`~cblue.estimators.cblue_nullspace` on :func:`parameterize`, which needs
+    only ``L^-1 H N`` (N spanning the constraint nullspace).  Their ``RankDeficient``
+    refusals are the reasons, so the report names the form
+    :func:`~cblue.estimators.cblue` uses, and an error that stops ``cblue()`` is raised.
     """
-    _check_parameter_dims(model, constraints)
+    from .estimators import cblue_direct, cblue_nullspace
+
     reasons = []
 
-    def admits(m, subject) -> bool:
+    def admits(build, refusals) -> bool:
         try:
-            model.whitened_gram(m, subject)
-        except RankDeficient as exc:
+            build()
+        except refusals as exc:
             reasons.append(str(exc))
             return False
         return True
 
-    direct = admits(model.H, "measurement matrix")
-    reduced = admits(model.H @ nullspace_basis(constraints.A), REDUCED)
+    direct = admits(lambda: cblue_direct(model, constraints), RankDeficient)
+    # cblue() builds the nullspace form only if the direct form is refused, so only
+    # then can its other errors stop cblue()
+    refusals = EstimationError if direct else RankDeficient
+    reduced = admits(lambda: cblue_nullspace(model, parameterize(constraints)), refusals)
     return CompatibilityReport(direct_form=direct, nullspace_form=reduced, reasons=tuple(reasons))
 
 
@@ -206,7 +209,7 @@ def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:
     """
     basis = nullspace_basis(constraints.A)
     if particular is None:
-        xp = as_vector(least_norm_solution(constraints.A, constraints.b), "particular solution")
+        xp = as_vector(constraint_step(constraints.A, constraints.b).offset, "particular solution")
     else:
         xp = as_vector(particular, "particular solution")
         if xp.shape[0] != constraints.n_x:

@@ -372,10 +372,6 @@ class ConstraintStep:
         e = self.complement(m)
         return e if self.factor is None else half_solve(self.factor, e, adjoint=True)
 
-    def least_squares(self, w):
-        """The constrained least-squares map on ``w``, for L the factor of ``w^H w``."""
-        return self.project(half_solve(self.factor, w.conj().T))
-
 
 def constraint_step(a, b, factor: HpdFactor | None = None) -> ConstraintStep:
     """The step that projects maps onto ``a @ x = b`` in the coordinates ``u = L^H x``.

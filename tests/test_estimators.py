@@ -491,6 +491,17 @@ def test_covariance_result_refuses_a_given_variance():
         CovarianceResult(np.eye(2), per_element_variance=np.ones(2))
 
 
+@pytest.mark.parametrize("relative, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_covariance_result_negative_diagonal_tolerance_boundary(relative, accepted):
+    # diag(1, -d) has norm sqrt(1 + d^2): a negative variance passes down to 1e-12 of it
+    c = np.diag([1.0, -relative])
+    if accepted:
+        assert_array_equal(CovarianceResult(c).per_element_variance, [1.0, -relative])
+    else:
+        with pytest.raises(ValueError, match="negative"):
+            CovarianceResult(c)
+
+
 @pytest.mark.parametrize("overdetermined", [True, False])
 def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdetermined):
     # cblue, apply and the per-element variances, the pipeline of `cblue

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,6 +13,7 @@ from cblue.errors import (
 )
 from cblue.estimators import cblue, cblue_direct, cblue_nullspace
 from cblue.model import (
+    CompatibilityReport,
     ConstraintSet,
     LinearModel,
     NullspaceParam,
@@ -307,3 +310,83 @@ def test_parameterize_refuses_out_of_range_constraint_gram():
     constraints = ConstraintSet(np.ones((1, 3)) * 1e160, np.zeros(1))
     with pytest.raises(EstimationError, match="not finite in double precision"):
         parameterize(constraints)
+
+
+def _ill_conditioned_constraints(s):
+    """A = Q1 diag(1, s) Q2^H (2 x 6) on H = [I; I] with C_nn = diag(linspace(1, 3, 12))."""
+    rng = np.random.default_rng(53)
+    q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    model = LinearModel(np.vstack([np.eye(6), np.eye(6)]), np.diag(np.linspace(1.0, 3.0, 12)))
+    return model, ConstraintSet(q1 @ np.diag([1.0, s]) @ q2[:, :2].T, np.array([1.0, 2.0]))
+
+
+def test_validate_takes_the_constraint_steps_rank_gate():
+    # ConstraintSet's SVD rule accepts both values of s; the constraint step of
+    # each constructor squares s in its Gram and refuses 1e-10, as cblue() does
+    model, constraints = _ill_conditioned_constraints(1e-7)
+    assert validate(model, constraints) == CompatibilityReport(True, True, ())
+
+    model, constraints = _ill_conditioned_constraints(1e-10)
+    with pytest.raises(RankDeficientConstraints) as direct:
+        cblue_direct(model, constraints)
+    with pytest.raises(RankDeficientConstraints) as nullspace:
+        cblue_nullspace(model, parameterize(constraints))
+    with pytest.raises(RankDeficientConstraints):
+        cblue(model, constraints)
+    assert validate(model, constraints) == CompatibilityReport(
+        False, False, (str(direct.value), str(nullspace.value))
+    )
+
+
+@pytest.mark.parametrize("h_scale, a_scale", [(1.0, 1e160), (1e-100, 1e60)])
+def test_validate_raises_what_cblue_raises(h_scale, a_scale):
+    # the direct form's whitened constraint Gram overflows, so cblue() raises and
+    # builds no other form; with A = ones * 1e60 the nullspace form alone would build
+    model = LinearModel(h_scale * np.vstack([np.eye(3), np.eye(3)]), np.eye(6))
+    constraints = ConstraintSet(np.ones((1, 3)) * a_scale, np.zeros(1))
+    with pytest.raises(EstimationError) as expected:
+        cblue(model, constraints)
+    assert not isinstance(expected.value, RankDeficient)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        validate(model, constraints)
+
+
+def test_validate_reports_a_failed_nullspace_form_once_the_direct_form_is_built():
+    # scaling H by 1e100 brings the direct form's whitened constraint Gram back into
+    # range, while the nullspace form's A A^H still overflows; cblue() never builds
+    # the nullspace form here, so validate() names the failure as a reason
+    model = LinearModel(1e100 * np.vstack([np.eye(3), np.eye(3)]), np.eye(6))
+    constraints = ConstraintSet(np.ones((1, 3)) * 1e160, np.zeros(1))
+    with pytest.raises(EstimationError) as nullspace:
+        parameterize(constraints)
+    assert cblue(model, constraints).label == "cblue_direct"
+    assert validate(model, constraints) == CompatibilityReport(True, False, (str(nullspace.value),))
+
+
+@pytest.mark.parametrize("ratio, accepted", [(50.0, False), (70.0, True)])
+def test_constraint_rank_threshold_scales_with_the_longer_side(ratio, accepted):
+    # the rule counts singular values above max(shape) * eps * sigma_max = 60 eps
+    # here; a diagonal A has exactly the singular values (1, ratio * eps)
+    eps = np.finfo(float).eps
+    a = np.zeros((2, 60))
+    a[0, 0], a[1, 1] = 1.0, ratio * eps
+    assert np.array_equal(np.linalg.svd(a, compute_uv=False), [1.0, ratio * eps])
+    if accepted:
+        ConstraintSet(a, np.zeros(2))
+    else:
+        with pytest.raises(RankDeficientConstraints):
+            ConstraintSet(a, np.zeros(2))
+
+
+@pytest.mark.parametrize("relative, accepted", [(0.5e-8, True), (2e-8, False)])
+def test_parameterize_particular_tolerance_boundary(relative, accepted):
+    # x = (1 + t, 0) misses A x = 1 by t, against the scale |A| |x| + |b| = 2 + t
+    constraints = ConstraintSet(np.array([[1.0, 0.0]]), np.ones(1))
+    t = 2.0 * relative / (1.0 - relative)
+    particular = np.array([1.0 + t, 0.0])
+    if accepted:
+        assert_array_equal(parameterize(constraints, particular).particular, particular)
+    else:
+        with pytest.raises(EstimationError, match="does not satisfy"):
+            parameterize(constraints, particular)

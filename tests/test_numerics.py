@@ -30,6 +30,7 @@ from cblue.numerics import (
     least_norm_solution,
     nullspace_basis,
     numerical_rank,
+    reciprocal_power,
     scaled_asymmetry,
 )
 
@@ -464,3 +465,42 @@ def test_factoring_leaves_a_writable_fortran_input_unchanged():
     model = LinearModel(h, c)
     assert np.array_equal(c, before)
     assert np.array_equal(model.C_nn, before)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_check_pivots_refuses_a_pivot_at_its_threshold(above):
+    # two pivots of peak 1: the threshold is 2 eps, and a pivot at it is refused
+    threshold = 2.0 * np.finfo(float).eps
+    pivot = np.nextafter(threshold, np.inf) if above else threshold
+    if above:
+        check_pivots(np.array([1.0, pivot]), 1.0)
+    else:
+        with pytest.raises(NotPositiveDefinite, match="at or below threshold"):
+            check_pivots(np.array([1.0, pivot]), 1.0)
+
+
+@pytest.mark.parametrize("relative, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_hpd_factor_hermitian_tolerance_boundary(relative, accepted):
+    # I + d e_1 e_2^T differs from its adjoint by sqrt(2) d, against its norm sqrt(2 + d^2)
+    m = np.eye(2)
+    m[0, 1] = relative
+    if accepted:
+        hpd_factor(m)
+    else:
+        with pytest.raises(NotPositiveDefinite, match="not Hermitian"):
+            hpd_factor(m)
+
+
+@pytest.mark.parametrize(
+    "peak, power",
+    [
+        (2.0**1020, 2.0**-1021),
+        (2.0**1021, 2.0**-1022),
+        (2.0**1023, 2.0**-1022),
+        (2.0**-1022, 2.0**1021),
+        (2.0**-1023, 2.0**1022),
+        (2.0**-1040, 2.0**1022),
+    ],
+)
+def test_reciprocal_power_clamps_to_normal_powers_at_the_ends_of_the_range(peak, power):
+    assert reciprocal_power(peak) == power
