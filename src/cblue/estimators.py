@@ -68,6 +68,8 @@ from .numerics import (
     _HERMITIAN_RTOL,
     ConstraintStep,
     HpdFactor,
+    _finite,
+    _peak_power,
     as_matrix,
     as_vector,
     constraint_step,
@@ -76,7 +78,6 @@ from .numerics import (
     hermitian_product,
     hpd_solve,
     inverse_factor,
-    reciprocal_power,
     scaled_asymmetry,
 )
 
@@ -140,11 +141,7 @@ class AffineEstimator:
                 x = self._factored(arr) + offset
             else:
                 x = self.E @ arr + offset
-        if not np.isfinite(x).all():
-            raise EstimationError(
-                "estimate is not finite in double precision; rescale the problem"
-            )
-        return x
+        return _finite("estimate", x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +202,7 @@ class _WhitenedEstimator(AffineEstimator):
     def _factored(self, arr):
         """``lift G^-1 W^H L^-1 arr``, ``L^-1 arr`` scaled by a power of 2 so no step overflows."""
         z = half_solve(self._noise_factor, arr)
-        power = reciprocal_power(float(np.abs(z.ravel("K").view(np.float64)).max(initial=0.0)))
+        power = _peak_power(z)
         x = self._core(_adjoint_times(self._w, z * power))
         return (x if self._lift is None else self._lift @ x) / power
 
@@ -222,11 +219,11 @@ class _WhitenedEstimator(AffineEstimator):
     @cached_property
     def E(self):
         if self._lift is None:
-            return as_matrix(_unwhitened(self._noise_factor, self.E_w), "estimator matrix")
+            return _finite("estimator matrix", _unwhitened(self._noise_factor, self.E_w))
         # unwhitening before lifting solves against the reduced map, which has n0
         # rows, so its adjoint is tall even when the model is underdetermined
         e = _unwhitened(self._noise_factor, self._core(self._w.conj().T))
-        return as_matrix(self._lift @ e, "estimator matrix")
+        return _finite("estimator matrix", self._lift @ e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +275,7 @@ def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) ->
     """Whitened estimator of class ``cls`` on the whitened matrix ``w``, with offset ``f``."""
     return _unformed(
         cls,
-        f=as_vector(f, "estimator offset"),
+        f=_finite("estimator offset", f),
         label=label,
         C_nn=model.C_nn,
         _noise_factor=model.noise_factor,
@@ -296,7 +293,7 @@ def ls(model: LinearModel) -> AffineEstimator:
 def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
     w, factor = model.whitened_gram(model.H)
-    f = np.zeros(model.n_x)
+    f = np.zeros(model.n_x, dtype=np.complex128)
     est = _whitened_estimator(_WhitenedEstimator, model, w, f, "blue", _gram=factor)
     est.E_w  # formed now, so that a non-finite map is refused at construction
     return est
@@ -343,23 +340,26 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
         )
     w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
     xp = param.particular
-    # x_p - E_w L^-1 H x_p, whitening H x_p as one tall column like every solve here
-    core = hpd_solve(factor, _adjoint_times(w, half_solve(model.noise_factor, h @ xp[:, None])))
-    f = xp - param.basis @ core[:, 0]
-    return _whitened_estimator(
-        _WhitenedEstimator, model, w, f, "cblue_nullspace", _gram=factor, _lift=param.basis
+    est = _whitened_estimator(
+        _WhitenedEstimator, model, w, xp, "cblue_nullspace", _gram=factor, _lift=param.basis
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # _factored reads no offset, so x_p stands in until f = x_p - E H x_p is
+        # formed by the scaled apply, on H x_p as one tall column
+        est.__dict__["f"] = _finite("estimator offset", xp - est._factored(h @ xp[:, None])[:, 0])
+    return est
 
 
 def cblue(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
     """Constrained minimum-variance unbiased estimator, either form.
 
-    Uses the direct form when the model admits it and falls back to the
-    nullspace form otherwise.
+    Checks the dimensions, then uses the direct form unless its constructor
+    raises any ``EstimationError``, and falls back to the nullspace form then.
     """
+    _check_parameter_dims(model, constraints)
     try:
         return cblue_direct(model, constraints)
-    except RankDeficient:
+    except EstimationError:
         return cblue_nullspace(model, parameterize(constraints))
 
 
@@ -411,11 +411,7 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
             variance = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum(
                 "ij,ij->i", rows.imag, rows.imag
             )
-        if not np.isfinite(variance).all():
-            raise EstimationError(
-                "error covariance is not finite in double precision; rescale the problem"
-            )
-        variance.flags.writeable = False
+        variance = _finite("error covariance", variance)
         return _unformed(_WhitenedCovariance, per_element_variance=variance, _estimator=est)
     c = as_matrix(noise_cov, "noise covariance")
     if c.shape[0] != c.shape[1] or c.shape[0] != est.E.shape[1]:

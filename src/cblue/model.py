@@ -176,12 +176,13 @@ def validate(model: LinearModel, constraints: ConstraintSet) -> CompatibilityRep
     Each form is built by its constructor: :func:`~cblue.estimators.cblue_direct`,
     which needs ``L^-1 H`` to have full column rank, and
     :func:`~cblue.estimators.cblue_nullspace` on :func:`parameterize`, which needs
-    only ``L^-1 H N`` (N spanning the constraint nullspace).  Their ``RankDeficient``
-    refusals are the reasons, so the report names the form
-    :func:`~cblue.estimators.cblue` uses, and an error that stops ``cblue()`` is raised.
+    only ``L^-1 H N`` (N spanning the constraint nullspace).  Their refusals are the
+    reasons by the rule :func:`~cblue.estimators.cblue` falls back by, so the report
+    names the form ``cblue()`` uses, and an error that stops ``cblue()`` is raised.
     """
     from .estimators import cblue_direct, cblue_nullspace
 
+    _check_parameter_dims(model, constraints)
     reasons = []
 
     def admits(build, refusals) -> bool:
@@ -192,7 +193,7 @@ def validate(model: LinearModel, constraints: ConstraintSet) -> CompatibilityRep
             return False
         return True
 
-    direct = admits(lambda: cblue_direct(model, constraints), RankDeficient)
+    direct = admits(lambda: cblue_direct(model, constraints), EstimationError)
     # cblue() builds the nullspace form only if the direct form is refused, so only
     # then can its other errors stop cblue()
     refusals = EstimationError if direct else RankDeficient
@@ -209,7 +210,7 @@ def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:
     """
     basis = nullspace_basis(constraints.A)
     if particular is None:
-        xp = as_vector(constraint_step(constraints.A, constraints.b).offset, "particular solution")
+        xp = constraint_step(constraints.A, constraints.b).offset
     else:
         xp = as_vector(particular, "particular solution")
         if xp.shape[0] != constraints.n_x:

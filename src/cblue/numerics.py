@@ -133,9 +133,10 @@ def hermitian_product(what: str, *factors: np.ndarray) -> np.ndarray:
 
 
 def _finite(what: str, m: np.ndarray) -> np.ndarray:
-    """``m``, or ``EstimationError`` naming ``what`` if an entry is not finite."""
+    """The check on every array the package computes: ``m`` made read-only, or ``EstimationError``."""
     if not np.isfinite(m).all():
         raise EstimationError(f"{what} is not finite in double precision; rescale the problem")
+    m.flags.writeable = False
     return m
 
 
@@ -147,6 +148,11 @@ def _lower_gram(w: np.ndarray) -> np.ndarray:
 def reciprocal_power(peak: float) -> float:
     """The normal power of 2 nearest ``1 / peak``, or 1 if ``peak`` is 0; scaling by it is exact."""
     return 2.0 ** -min(max(math.frexp(peak)[1], -1022), 1022)
+
+
+def _peak_power(m: np.ndarray) -> float:
+    """:func:`reciprocal_power` of the largest real or imaginary part of complex ``m`` in magnitude."""
+    return reciprocal_power(float(np.abs(m.ravel("K").view(np.float64)).max(initial=0.0)))
 
 
 def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
@@ -220,6 +226,8 @@ def _pivot_gated_factor(arr: np.ndarray, overwrite: bool = False) -> HpdFactor:
     from outside the package.
     """
     peak = arr.diagonal().real.max()
+    if overwrite:  # a private Gram, which _finite left read-only
+        arr.flags.writeable = True
     lower, info = zpotrf(arr, lower=1, clean=1, overwrite_a=overwrite)
     if info:
         raise NotPositiveDefinite("matrix is not positive definite")
@@ -385,10 +393,11 @@ def constraint_step(a, b, factor: HpdFactor | None = None) -> ConstraintStep:
     zh = a.conj().T if factor is None else half_solve(factor, a.conj().T)
     s_factor = gram_factor(RankDeficientConstraints, "constraint matrix", zh)
     q_adjoint = half_solve(s_factor, zh.conj().T)
-    p = q_adjoint.conj().T @ half_solve(s_factor, b)
-    if factor is not None:
-        p = half_solve(factor, p, adjoint=True)
-    return ConstraintStep(q_adjoint, p, factor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = q_adjoint.conj().T @ half_solve(s_factor, b)
+        if factor is not None:
+            p = half_solve(factor, p, adjoint=True)
+    return ConstraintStep(q_adjoint, _finite("least-norm solution", p), factor)
 
 
 def least_norm_solution(a, b) -> np.ndarray:

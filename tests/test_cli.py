@@ -478,6 +478,106 @@ def test_constraint_residual_equals_the_unscaled_norm_on_ordinary_scales():
         assert _residual_norm(a, x, b) == float(np.linalg.norm(a @ x - b))
 
 
+def test_constraint_residual_scales_the_residual():
+    # with a, x and b scaled by the reciprocals of their peaks, the residual of
+    # a x = 3e-300 and b = 1 is near 2^995, whose square overflows unless the
+    # residual is scaled again before its norm
+    from cblue.cli import _residual_norm
+
+    a = np.full((1, 3), 1e-300, dtype=complex)
+    assert _residual_norm(a, np.ones(3, dtype=complex), np.ones(1, dtype=complex)) == 1.0
+
+
+def write_problem(tmp_path, arrays):
+    paths = {}
+    for name, value in arrays.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_matrix(paths[name], value)
+    return paths
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_constraint_residual_scales_the_constraint_matrix(tmp_path, capsys):
+    # A = 1e200 ones on H = 1e100 I: A x_hat - b is near 1e184, but A x_hat has
+    # terms near 1e200, whose squares overflow unless A is scaled as well as x_hat
+    arrays = {
+        "H": 1e100 * np.eye(3),
+        "Cnn": np.eye(3),
+        "A": 1e200 * np.ones((1, 3)),
+        "b": np.zeros(1),
+        "y": 1e100 * np.array([1.0, 2.0, 3.5]),
+    }
+    assert main(estimate_args(write_problem(tmp_path, arrays))) == 0
+    out = capsys.readouterr().out
+    residual = float(re.search(r"constraint_residual = (\S+)", out).group(1))
+    bound = 4 * np.finfo(float).eps * np.linalg.norm(parse_x_hat(out)) * np.sqrt(3)
+    assert residual / 1e200 <= bound
+
+
+METHODS = ("ls", "blue", "cls", "cblue", "cblue-nullspace", "cblue-direct")
+SCALE_EXPONENTS = np.arange(-300, 301, 20)
+
+
+def extreme_scale_problem(rng):
+    """A random ``cblue estimate`` input whose five arrays are each scaled by 10^k, k often 0."""
+    method = METHODS[rng.integers(len(METHODS))]
+    n_x = int(rng.integers(2, 6))
+    n_b = int(rng.integers(1, n_x))
+    # fewer rows than parameters makes the model underdetermined
+    n_y = int(rng.integers(n_x - n_b, n_x + 4))
+
+    def scale():
+        return 10.0 ** (0 if rng.random() < 0.5 else int(rng.choice(SCALE_EXPONENTS)))
+
+    def draw(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale()
+
+    h = draw(n_y, n_x)
+    root = rng.standard_normal((n_y, n_y)) + 1j * rng.standard_normal((n_y, n_y))
+    c_nn = (root @ root.conj().T + n_y * np.eye(n_y)) * scale()
+    return method, {"H": h, "Cnn": c_nn, "A": draw(n_b, n_x), "b": draw(n_b), "y": draw(n_y)}
+
+
+def test_estimate_ends_every_extreme_scale_input_in_an_exit_code(tmp_path, capsys):
+    # every input ends in exit 0 with finite output, or in exit 1 or 2 with one
+    # error line; an exception that escapes main, a RuntimeWarning among them,
+    # fails the test
+    rng = np.random.default_rng(29)
+    codes = set()
+    for _ in range(600):
+        method, arrays = extreme_scale_problem(rng)
+        code = main(estimate_args(write_problem(tmp_path, arrays), method))
+        codes.add(code)
+        captured = capsys.readouterr()
+        if code == 0:
+            assert np.isfinite(parse_x_hat(captured.out)).all()
+            assert np.isfinite(parse_variance(captured.out)).all()
+            assert len(parse_x_hat(captured.out)) == arrays["H"].shape[1]
+        else:
+            assert code in (1, 2)
+            lines = captured.err.splitlines()
+            assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert {0, 1} <= codes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_keeps_a_least_norm_particular_near_the_top_of_double_range(tmp_path, capsys):
+    # x_p = 3.3e306 ones, and H x_p leaves the whitened offset chain's range
+    # unless it goes through the scaled apply
+    arrays = {
+        "H": 10 * np.eye(2, 3),
+        "Cnn": np.eye(2),
+        "A": np.ones((1, 3)),
+        "b": np.array([1e307]),
+        "y": np.ones(2),
+    }
+    assert main(estimate_args(write_problem(tmp_path, arrays))) == 0
+    out = capsys.readouterr().out
+    assert "form = cblue_nullspace" in out
+    x_hat = parse_x_hat(out)
+    assert abs(x_hat.sum() - 1e307) <= 4 * np.finfo(float).eps * 1e307
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify", "--trials", "6"]) == 0
     out = capsys.readouterr().out

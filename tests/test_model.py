@@ -339,10 +339,10 @@ def test_validate_takes_the_constraint_steps_rank_gate():
     )
 
 
-@pytest.mark.parametrize("h_scale, a_scale", [(1.0, 1e160), (1e-100, 1e60)])
+@pytest.mark.parametrize("h_scale, a_scale", [(1.0, 1e160)])
 def test_validate_raises_what_cblue_raises(h_scale, a_scale):
-    # the direct form's whitened constraint Gram overflows, so cblue() raises and
-    # builds no other form; with A = ones * 1e60 the nullspace form alone would build
+    # the direct form's whitened constraint Gram overflows, so cblue() falls back,
+    # and the nullspace form's A A^H overflows too, so cblue() raises that error
     model = LinearModel(h_scale * np.vstack([np.eye(3), np.eye(3)]), np.eye(6))
     constraints = ConstraintSet(np.ones((1, 3)) * a_scale, np.zeros(1))
     with pytest.raises(EstimationError) as expected:
@@ -350,6 +350,24 @@ def test_validate_raises_what_cblue_raises(h_scale, a_scale):
     assert not isinstance(expected.value, RankDeficient)
     with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
         validate(model, constraints)
+
+
+def test_cblue_falls_back_on_any_refusal_of_the_direct_form():
+    # at H = 1e-100 [I; I] the direct form's whitened constraint Gram overflows
+    # (Z^H = L_G^-1 A^H is about 7e159), while the nullspace form builds; its
+    # estimate is 1e100 times that of the same problem at unit scale
+    stack = np.vstack([np.eye(3), np.eye(3)])
+    model = LinearModel(1e-100 * stack, np.eye(6))
+    constraints = ConstraintSet(np.ones((1, 3)) * 1e60, np.zeros(1))
+    with pytest.raises(EstimationError) as direct:
+        cblue_direct(model, constraints)
+    assert not isinstance(direct.value, RankDeficient)
+    estimator = cblue(model, constraints)
+    assert estimator.label == "cblue_nullspace"
+    assert validate(model, constraints) == CompatibilityReport(False, True, (str(direct.value),))
+    unit = cblue(LinearModel(stack, np.eye(6)), ConstraintSet(np.ones((1, 3)), np.zeros(1)))
+    y = np.array([1.0, -2.0, 0.5, 3.0, 0.25, -1.0])
+    assert_allclose(estimator.apply(y), 1e100 * unit.apply(y), rtol=1e-14)
 
 
 def test_validate_reports_a_failed_nullspace_form_once_the_direct_form_is_built():
