@@ -56,7 +56,6 @@ from .numerics import (
     hpd_solve,
     least_norm_solution,
     nullspace_basis,
-    numerical_rank,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "ls",
     "mean_subtracted",
     "nullspace_basis",
-    "numerical_rank",
     "parameterize",
     "project_onto_constraints",
     "run_experiment",

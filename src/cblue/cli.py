@@ -10,7 +10,6 @@ fails, 2 for unusable inputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .estimators import blue, cblue, cblue_direct, cblue_nullspace, cls, covaria
 from .fileio import FileFormatError
 from .model import ConstraintSet, LinearModel, parameterize
 from .montecarlo import run_experiment
-from .numerics import _peak_power
+from .numerics import _scaled_residual
 from .verify import SuiteArgumentError, run_suite
 
 _CHART_STYLE = (
@@ -49,22 +48,13 @@ def _build_estimator(method: str, model: LinearModel, constraints: ConstraintSet
 
 
 def _residual_norm(a, x, b) -> float:
-    """``|a x - b|``, formed from copies scaled so that no step overflows unless the norm does.
+    """``|a x - b|`` from :func:`~cblue.numerics._scaled_residual`: ``inf`` only if the norm is.
 
-    a, then x and b together, then the residual are each scaled by the power of 2
-    nearest the reciprocal of their peak.  The scalings are exact, and their combined
-    exponent is applied once, to the norm of the scaled residual, as in Blue's norm
-    (ACM TOMS 4, 1978).  So the result is ``inf`` only if the norm itself is beyond
-    double range, and it equals the unscaled norm wherever that one neither
-    overflows nor underflows.
+    It equals the unscaled norm wherever that one neither overflows nor underflows.
     """
-    a_power, x_power = _peak_power(a), _peak_power(np.concatenate([x, b]))
-    # b takes the two powers one at a time: their product alone may leave double range
-    residual = (a * a_power) @ (x * x_power) - b * x_power * a_power
-    r_power = _peak_power(residual)
-    exponent = sum(1 - math.frexp(power)[1] for power in (a_power, x_power, r_power))
+    residual, exponent, _ = _scaled_residual(a, x, b)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(residual * r_power), exponent))
+        return float(np.ldexp(np.linalg.norm(residual), exponent))
 
 
 def _cmd_estimate(args) -> int:

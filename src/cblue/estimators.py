@@ -31,13 +31,15 @@ forms the whitened map of every form, and ``E = E_w L^-1``; both are formed
 only when first read or when a batch of measurements is wide enough that
 forming E costs less.  BLUE forms ``E_w`` at construction, so a non-finite map
 is refused there.
-The error covariance ``E C_nn E^H`` is then ``E_w E_w^H = lift T T^H lift^H``:
-handed that very ``C_nn`` array, :func:`covariance` takes the per-element
-variances from the squared row norms of ``lift T``, the variance rows: the
-columns of ``L_G^-1`` for BLUE, of the kept ``T^H`` for the direct form, and
-``L_G^-1 N^H`` for the nullspace form, whose right-hand side is dense.  It forms
-the full matrix ``E_w E_w^H`` only when it is first read; any other array, an
-equal copy included, takes the general product.  The deferred reads are
+The error covariance ``E C_nn E^H`` is then ``E_w E_w^H = V V^H`` for the
+variance rows ``V = lift T``: the conjugated columns of ``L_G^-1`` for BLUE, of
+the kept ``T^H`` for the direct form, and of ``L_G^-1 N^H`` for the nullspace
+form, whose right-hand side is dense.  Handed that very ``C_nn`` array,
+:func:`covariance` takes the per-element variances from the squared row norms of
+V and forms the full matrix ``V V^H`` from V alone when it is first read, so
+neither ``E_w`` nor E is formed for it; :func:`analytic_cblue_covariance` is this
+covariance of its form's constructor.  Any other array, an equal copy included,
+takes the general product.  The deferred reads are
 :func:`functools.cached_property` reads on private subclasses, so a failed
 read can be retried and a copy or pickle carries what is still unformed.
 """
@@ -239,14 +241,12 @@ class _ConstrainedWhitenedEstimator(_WhitenedEstimator):
 
 @dataclass(frozen=True, eq=False)
 class _WhitenedCovariance(CovarianceResult):
-    """``E_w E_w^H`` with its variances set; C is formed from ``E_w`` and checked on first read."""
+    """``V V^H`` with its variances set, from the variance rows V kept conjugated; C is formed on first read."""
 
     @cached_property
     def C(self):
-        e_w = self._estimator.E_w
-        c = CovarianceResult(hermitian_product("error covariance", e_w, e_w.conj().T)).C
-        del self.__dict__["_estimator"]
-        return c
+        rows = self._rows
+        return CovarianceResult(hermitian_product("error covariance", rows.conj(), rows.T)).C
 
 
 def _adjoint_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -399,11 +399,11 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
     """Error covariance ``E @ C_nn @ E^H`` of an affine estimator.
 
     If ``noise_cov`` is the very array ``est.C_nn``, the ``model.C_nn`` a whitened
-    constructor built ``est`` against, the covariance is ``E_w @ E_w^H`` of the
-    kept whitened estimator: its per-element variances are the squared row norms
-    of the variance rows ``lift T``, and its ``C`` is that product, formed from
-    ``E_w`` and checked on first read.  Any other array, an equal copy included,
-    takes the general product.
+    constructor built ``est`` against, the covariance is ``E_w @ E_w^H = V @ V^H``
+    for the variance rows ``V = lift T`` of the kept whitened estimator: its
+    per-element variances are the squared row norms of V, and its ``C`` is
+    ``V @ V^H``, formed from V and checked on first read, with no ``E_w``.  Any
+    other array, an equal copy included, takes the general product.
     """
     if est.C_nn is not None and noise_cov is est.C_nn:
         rows = est._variance_rows()
@@ -412,7 +412,7 @@ def covariance(est: AffineEstimator, noise_cov) -> CovarianceResult:
                 "ij,ij->i", rows.imag, rows.imag
             )
         variance = _finite("error covariance", variance)
-        return _unformed(_WhitenedCovariance, per_element_variance=variance, _estimator=est)
+        return _unformed(_WhitenedCovariance, per_element_variance=variance, _rows=rows)
     c = as_matrix(noise_cov, "noise covariance")
     if c.shape[0] != c.shape[1] or c.shape[0] != est.E.shape[1]:
         raise DimensionMismatch(
@@ -430,26 +430,22 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     Pass a :class:`NullspaceParam` for the reduced form
     ``N (N^H P N)^-1 N^H`` or a :class:`ConstraintSet` for the full-rank form
     ``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1``; the two agree whenever both
-    are defined.  Each reads the factors of its constructor, so it is refused where
-    that constructor is: ``L_G L_G^H = N^H P N`` of :func:`cblue_nullspace`, or the
-    ``T^H`` of :func:`cblue_direct`, ``T = R^-1 (I - Q Q^H)`` for ``P = R^H R``, so
-    that the full-rank form is ``T T^H`` and nothing cancels.
+    are defined.  Each is :func:`covariance` of its form's estimator against
+    ``model.C_nn``, so it is refused where that constructor is: ``V V^H`` for
+    ``V = N L_G^-H`` of :func:`cblue_nullspace` (``L_G L_G^H = N^H P N``), or for
+    ``V = T`` of :func:`cblue_direct`, ``T = R^-1 (I - Q Q^H)`` for ``P = R^H R``,
+    so that the full-rank form is ``T T^H`` and nothing cancels.
     """
     if isinstance(constraints_or_param, NullspaceParam):
-        basis = constraints_or_param.basis
-        factor = cblue_nullspace(model, constraints_or_param)._gram
-        return CovarianceResult(
-            C=hermitian_product("error covariance", basis, hpd_solve(factor, basis.conj().T))
+        est = cblue_nullspace(model, constraints_or_param)
+    elif isinstance(constraints_or_param, ConstraintSet):
+        est = cblue_direct(model, constraints_or_param)
+    else:
+        raise TypeError(
+            "expected a ConstraintSet or NullspaceParam, got "
+            f"{type(constraints_or_param).__name__}"
         )
-    if isinstance(constraints_or_param, ConstraintSet):
-        t_adjoint = cblue_direct(model, constraints_or_param)._t_adjoint
-        return CovarianceResult(
-            C=hermitian_product("error covariance", t_adjoint.conj().T, t_adjoint)
-        )
-    raise TypeError(
-        "expected a ConstraintSet or NullspaceParam, got "
-        f"{type(constraints_or_param).__name__}"
-    )
+    return covariance(est, model.C_nn)
 
 
 def kkt_oracle(model: LinearModel, constraints: ConstraintSet, y) -> np.ndarray:

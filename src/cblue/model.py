@@ -20,6 +20,7 @@ from .numerics import (
     _hermitian_gated_factor,
     _lower_gram,
     _rank,
+    _scaled_residual,
     as_matrix,
     as_vector,
     constraint_step,
@@ -218,13 +219,9 @@ def parameterize(constraints: ConstraintSet, particular=None) -> NullspaceParam:
                 f"particular solution has {xp.shape[0]} entries for "
                 f"{constraints.n_x} parameters"
             )
-        residual = np.linalg.norm(constraints.A @ xp - constraints.b)
-        scale = (
-            np.linalg.norm(constraints.A) * np.linalg.norm(xp)
-            + np.linalg.norm(constraints.b)
-            + np.finfo(float).tiny
-        )
-        if residual > 1e-8 * scale:
+        # relative to |A| |x_p| + |b|, on copies scaled so that neither side overflows
+        residual, _, size = _scaled_residual(constraints.A, xp, constraints.b)
+        if np.linalg.norm(residual) > 1e-8 * size:
             raise EstimationError(
                 "supplied particular solution does not satisfy the constraints"
             )

@@ -155,6 +155,27 @@ def _peak_power(m: np.ndarray) -> float:
     return reciprocal_power(float(np.abs(m.ravel("K").view(np.float64)).max(initial=0.0)))
 
 
+def _scaled_residual(a, x, b) -> tuple[np.ndarray, int, float]:
+    """``a x - b`` as ``(r, k, size)`` with ``a x - b = r 2**k``, formed so that no step overflows.
+
+    a, then x and b together, then the residual are each scaled by the power of 2
+    nearest the reciprocal of their peak.  The scalings are exact, and k sums their
+    exponents, as in Blue's norm (ACM TOMS 4, 1978).  ``size`` is
+    ``|a| |x| + |b|`` on the scale of r, the norms a residual is relative to; it is
+    ``inf`` only where r is negligible against it.
+    """
+    a_power, x_power = _peak_power(a), _peak_power(np.concatenate([x, b]))
+    a_s, x_s = a * a_power, x * x_power
+    # b takes the two powers one at a time: their product alone may leave double range
+    b_s = b * x_power * a_power
+    residual = a_s @ x_s - b_s
+    r_power = _peak_power(residual)
+    exponent = sum(1 - math.frexp(power)[1] for power in (a_power, x_power, r_power))
+    with np.errstate(over="ignore"):
+        size = (np.linalg.norm(a_s) * np.linalg.norm(x_s) + np.linalg.norm(b_s)) * r_power
+    return residual * r_power, exponent, float(size)
+
+
 def scaled_asymmetry(m: np.ndarray) -> tuple[float, float, float]:
     """Frobenius norms of ``p (m - m^H)`` and ``p m``, and p, for square C-contiguous complex ``m``.
 
@@ -312,12 +333,6 @@ def hpd_solve(factor: HpdFactor, rhs):
 def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
     """Count of singular values above ``max(shape) * eps * sigma_max``, the package's rank rule."""
     return int((singular_values > max(shape) * _EPS * float(singular_values[0])).sum())
-
-
-def numerical_rank(m) -> int:
-    """Numerical rank of ``m`` by singular value thresholding."""
-    arr = as_matrix(m, "matrix")
-    return _rank(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
 def nullspace_basis(a) -> np.ndarray:

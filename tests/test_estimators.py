@@ -389,6 +389,27 @@ def test_kkt_oracle_rejects_singular_system():
         kkt_oracle(model, ONES_CONSTRAINT, np.zeros(3))
 
 
+@pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
+def test_kkt_oracle_residual_boundary(monkeypatch, ratio, accepted):
+    # the KKT solve is stubbed to miss the system by ratio times the bound
+    # 1e-6 (|rhs| + 1), which the oracle then accepts or refuses
+    solve, y = np.linalg.solve, np.array([1.0, 3.0])
+    exact = kkt_oracle(COLORED_MODEL, ONES_CONSTRAINT, y)
+
+    def missing_solve(m, rhs):
+        if m.shape[0] != COLORED_MODEL.n_x + ONES_CONSTRAINT.n_b:
+            return solve(m, rhs)
+        miss = ratio * 1e-6 * (np.linalg.norm(rhs) + 1.0)
+        return solve(m, rhs + miss * np.eye(m.shape[0])[0])
+
+    monkeypatch.setattr(np.linalg, "solve", missing_solve)
+    if accepted:
+        assert_allclose(kkt_oracle(COLORED_MODEL, ONES_CONSTRAINT, y), exact, atol=1e-5)
+    else:
+        with pytest.raises(SingularKktSystem, match="numerically singular"):
+            kkt_oracle(COLORED_MODEL, ONES_CONSTRAINT, y)
+
+
 def test_affine_estimator_apply_shapes():
     est = AffineEstimator(np.array([[1.0, 2.0]]), np.array([0.5]), "demo")
     single = est.apply(np.array([1.0, 1.0]))
@@ -532,7 +553,11 @@ def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdet
         reduced_w = hpd_solve(factor, w.conj().T)
         e = param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
     assert_array_equal(est.E, e)
-    assert_array_equal(result.C, hermitized(est.E_w @ est.E_w.conj().T))
+    # C is V V^H from the variance rows, the closed form's own product
+    closed_form = analytic_cblue_covariance(model, constraints if overdetermined else param)
+    assert_array_equal(result.C, closed_form.C)
+    from_map = hermitized(est.E_w @ est.E_w.conj().T)
+    assert np.linalg.norm(result.C - from_map) <= 1e-12 * np.linalg.norm(from_map)
     assert est.E is est.E and result.C is result.C
     scale = np.linalg.norm(x_hat)
     assert np.linalg.norm(x_hat - (est.E @ y + est.f)) <= 1e-12 * scale
@@ -552,6 +577,16 @@ def test_cblue_pipeline_forms_no_whitened_map(overdetermined):
     est = cblue(model, constraints)
     est.apply(y)
     covariance(est, model.C_nn).per_element_variance
+    assert "E_w" not in est.__dict__ and "E" not in est.__dict__
+
+
+@pytest.mark.parametrize("overdetermined", [True, False])
+def test_reading_the_whitened_covariance_forms_no_map(overdetermined):
+    # C is V V^H from the variance rows, so reading it forms neither E_w nor E
+    rng = np.random.default_rng(67)
+    model, constraints, _ = draw_instance(rng, overdetermined)
+    est = cblue(model, constraints)
+    covariance(est, model.C_nn).C
     assert "E_w" not in est.__dict__ and "E" not in est.__dict__
 
 
@@ -769,7 +804,10 @@ def test_failed_deferred_read_can_be_retried(monkeypatch, overdetermined):
         reduced_w = hpd_solve(factor, w.conj().T)
         e = param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
     assert_array_equal(est.E, e)
-    assert_array_equal(result.C, hermitized(est.E_w @ est.E_w.conj().T))
+    closed_form = analytic_cblue_covariance(model, constraints if overdetermined else param)
+    assert_array_equal(result.C, closed_form.C)
+    from_map = hermitized(est.E_w @ est.E_w.conj().T)
+    assert np.linalg.norm(result.C - from_map) <= 1e-12 * np.linalg.norm(from_map)
 
 
 @pytest.mark.parametrize("overdetermined", [True, False])

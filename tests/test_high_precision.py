@@ -168,6 +168,9 @@ FULL_RANK_COVARIANCE = {
     "cblue_direct": lambda model, constraints: covariance(
         cblue_direct(model, constraints), model.C_nn
     ),
+    "cblue_nullspace": lambda model, constraints: covariance(
+        cblue_nullspace(model, parameterize(constraints)), model.C_nn
+    ),
 }
 
 

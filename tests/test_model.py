@@ -408,3 +408,17 @@ def test_parameterize_particular_tolerance_boundary(relative, accepted):
     else:
         with pytest.raises(EstimationError, match="does not satisfy"):
             parameterize(constraints, particular)
+
+
+@pytest.mark.parametrize(
+    "particular, accepted",
+    [([1e308, 1e308, 0.0], False), ([1e308, 1e308, 1e308], False), ([1e308, -1e308, 0.0], True)],
+)
+def test_parameterize_gates_a_particular_whose_norms_overflow(particular, accepted):
+    # |A x - b| and |x| both overflow here; the gate compares them on scaled copies
+    zero_sum = ConstraintSet(np.ones((1, 3)), np.zeros(1))
+    if accepted:
+        assert_array_equal(parameterize(zero_sum, particular).particular, particular)
+    else:
+        with pytest.raises(EstimationError, match="does not satisfy"):
+            parameterize(zero_sum, particular)

@@ -29,7 +29,6 @@ from cblue.numerics import (
     inverse_factor,
     least_norm_solution,
     nullspace_basis,
-    numerical_rank,
     reciprocal_power,
     scaled_asymmetry,
 )
@@ -219,13 +218,6 @@ def test_least_norm_rank_deficient():
 def test_least_norm_rhs_mismatch():
     with pytest.raises(DimensionMismatch):
         least_norm_solution(np.ones((1, 3)), np.ones(2))
-
-
-def test_numerical_rank():
-    assert numerical_rank(np.eye(4)) == 4
-    assert numerical_rank(np.zeros((3, 4))) == 0
-    rank_one = np.outer([1.0, 2.0], [3.0, 4.0, 5.0])
-    assert numerical_rank(rank_one) == 1
 
 
 def test_half_solve_both_triangles():
