@@ -15,26 +15,22 @@ itself to have full column rank.
 The whitened constructors (BLUE and both constrained BLUE forms) solve least
 squares on the whitened model ``L^-1 y = L^-1 H x + w`` and keep its factors,
 not its n_x x n_y map.  Each keeps the whitened matrix W, the offset f, the
-model's own ``C_nn`` array and its factor L.  BLUE also keeps the Cholesky
-factor ``L_G`` of ``W^H W``, the nullspace form keeps ``L_G`` and the lift (the
-nullspace basis), and the direct form keeps ``T^H`` alone.  The whitened map is
-``E_w = lift T T^H W^H``, where ``T = L_G^-H`` for BLUE and the nullspace form
-and ``T = L_G^-H (I - Q Q^H)``, the constraint step applied to ``L_G^-H``, for
-the direct form, whose lift is the identity.  The direct form's
-``T^H = L_G^-1 - Q (Q^H L_G^-1)`` is the step's projection in u applied to the
-triangular inverse ``L_G^-1``; it is built in the buffer of its own fresh Gram
-factor, which it overwrites, so ``L_G`` is gone once the estimator exists.
-Every form applies the map as ``lift T T^H W^H (L^-1 y) + f``: two products with
-the kept ``T^H`` for the direct form, two solves against ``L_G`` for the others,
-so O(n^2) per measurement vector.  One formula, ``E_w = lift (T T^H W^H)``,
-forms the whitened map of every form, and ``E = E_w L^-1``; both are formed
-only when first read or when a batch of measurements is wide enough that
-forming E costs less.  BLUE forms ``E_w`` at construction, so a non-finite map
-is refused there.
+model's own ``C_nn`` array and its factor L, the lift (the nullspace basis N,
+or None for the identity) and one factor ``T^H``: ``L_G^-1`` for BLUE and the
+nullspace form, where ``L_G`` is the Cholesky factor of ``W^H W``, and
+``L_G^-1 - Q (Q^H L_G^-1)``, the constraint step's projection in u applied to
+``L_G^-1``, for the direct form.  ``T^H`` is built in the buffer of the
+constructor's own fresh Gram factor, which it overwrites, so ``L_G`` is gone
+once the estimator exists.  The whitened map is ``E_w = lift T T^H W^H``, where
+``T T^H`` is ``P^-1``, ``(N^H P N)^-1`` or
+``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1`` for ``P = H^H C_nn^-1 H``.  Every
+form applies the map as ``lift T T^H W^H (L^-1 y) + f``, two products with the
+kept ``T^H``, so O(n^2) per measurement vector.  ``E_w`` and ``E = E_w L^-1``
+are formed, and checked finite, only when first read or when a batch of
+measurements is wide enough that forming E costs less.
 The error covariance ``E C_nn E^H`` is then ``E_w E_w^H = V V^H`` for the
-variance rows ``V = lift T``: the conjugated columns of ``L_G^-1`` for BLUE, of
-the kept ``T^H`` for the direct form, and of ``L_G^-1 N^H`` for the nullspace
-form, whose right-hand side is dense.  Handed that very ``C_nn`` array,
+variance rows ``V = lift T``: the conjugated columns of the kept ``T^H``, lifted
+by N for the nullspace form.  Handed that very ``C_nn`` array,
 :func:`covariance` takes the per-element variances from the squared row norms of
 V and forms the full matrix ``V V^H`` from V alone when it is first read, so
 neither ``E_w`` nor E is formed for it; :func:`analytic_cblue_covariance` is this
@@ -176,12 +172,13 @@ class CovarianceResult:
 
 @dataclass(frozen=True, eq=False)
 class _WhitenedEstimator(AffineEstimator):
-    """Least squares on the whitened matrix W, kept as its factors.
+    """Least squares on the whitened matrix W, kept as its factors; every whitened form.
 
-    With ``W^H W = L_G L_G^H``, ``E_w = lift G^-1 W^H`` for ``G^-1 = L_G^-H L_G^-1``,
-    where the lift is the nullspace basis or None (the identity).  The estimator
-    keeps W, L_G, the lift, the offset and the noise factor L; ``E_w`` and E are
-    formed on first read, from :meth:`_core` applied to ``W^H``.
+    ``E_w = lift T T^H W^H``, where the lift is the nullspace basis or None (the
+    identity) and ``T^H`` is ``L_G^-1`` (BLUE, the nullspace form) or
+    ``L_G^-1 - Q (Q^H L_G^-1)`` (the direct form).  The estimator keeps W, ``T^H``,
+    the lift, the offset and the noise factor L; ``E_w`` and E are formed and
+    checked on first read, from :meth:`_core` applied to ``W^H``.
     """
 
     _lift = None
@@ -192,17 +189,17 @@ class _WhitenedEstimator(AffineEstimator):
         object.__setattr__(self, "E_w", None)
 
     def _core(self, u):
-        """``G^-1 u``, the map before the lift, on ``u = W^H L^-1 y``."""
-        return hpd_solve(self._gram, u)
+        """``T T^H u``, the map before the lift, on ``u = W^H L^-1 y``."""
+        return _adjoint_times(self._t_adjoint, self._t_adjoint @ u)
 
     def _variance_rows(self):
-        """Rows whose squared norms are the variances: here the conjugate of ``lift L_G^-H``."""
+        """Rows whose squared norms are the variances: the conjugate of ``lift T``."""
         if self._lift is None:
-            return inverse_factor(self._gram).T
-        return half_solve(self._gram, self._lift.conj().T).T
+            return self._t_adjoint.T
+        return self._lift.conj() @ self._t_adjoint.T
 
     def _factored(self, arr):
-        """``lift G^-1 W^H L^-1 arr``, ``L^-1 arr`` scaled by a power of 2 so no step overflows."""
+        """``lift T T^H W^H L^-1 arr``, ``L^-1 arr`` scaled by a power of 2 so no step overflows."""
         z = half_solve(self._noise_factor, arr)
         power = _peak_power(z)
         x = self._core(_adjoint_times(self._w, z * power))
@@ -211,12 +208,7 @@ class _WhitenedEstimator(AffineEstimator):
     @cached_property
     def E_w(self):
         e_w = self._core(self._w.conj().T)
-        if self._lift is not None:
-            e_w = self._lift @ e_w
-        if not np.isfinite(e_w).all():
-            raise ValueError("estimator matrix contains non-finite entries")
-        e_w.flags.writeable = False
-        return e_w
+        return _finite("whitened estimator matrix", e_w if self._lift is None else self._lift @ e_w)
 
     @cached_property
     def E(self):
@@ -226,17 +218,6 @@ class _WhitenedEstimator(AffineEstimator):
         # rows, so its adjoint is tall even when the model is underdetermined
         e = _unwhitened(self._noise_factor, self._core(self._w.conj().T))
         return _finite("estimator matrix", self._lift @ e)
-
-
-@dataclass(frozen=True, eq=False)
-class _ConstrainedWhitenedEstimator(_WhitenedEstimator):
-    """The direct constrained form: ``G^-1`` becomes ``T T^H``, and ``T^H`` is kept in place of ``L_G``."""
-
-    def _core(self, u):
-        return _adjoint_times(self._t_adjoint, self._t_adjoint @ u)
-
-    def _variance_rows(self):
-        return self._t_adjoint.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,22 +240,24 @@ def _unwhitened(noise_factor: HpdFactor, m_w: np.ndarray) -> np.ndarray:
     return half_solve(noise_factor, m_w.conj().T, adjoint=True).conj().T
 
 
-def _constrained_inverse(step: ConstraintStep) -> np.ndarray:
-    """``T^H = L_G^-1 - Q (Q^H L_G^-1)``, the step in u on ``L_G^-1`` for its factor ``L_G``.
+def _t_adjoint(factor: HpdFactor, step: ConstraintStep | None = None) -> np.ndarray:
+    """``T^H``: ``L_G^-1`` for the Gram factor ``L_G``, or ``L_G^-1 - Q (Q^H L_G^-1)`` with a step on it.
 
     ``T^H`` is built in the buffer of ``L_G``, inverted in place and then corrected in
-    place, so the step is consumed: pass only a step on a fresh Gram factor that
-    nothing else holds.
+    place, so the factor is consumed: pass only a fresh Gram factor that nothing
+    else holds.
     """
-    t_adjoint = step.complement(inverse_factor(step.factor, overwrite=True), overwrite=True)
+    t_adjoint = inverse_factor(factor, overwrite=True)
+    if step is not None:
+        t_adjoint = step.complement(t_adjoint, overwrite=True)
     t_adjoint.flags.writeable = False
     return t_adjoint
 
 
-def _whitened_estimator(cls, model: LinearModel, w, f, label: str, **factors) -> AffineEstimator:
-    """Whitened estimator of class ``cls`` on the whitened matrix ``w``, with offset ``f``."""
+def _whitened_estimator(model: LinearModel, w, f, label: str, **factors) -> AffineEstimator:
+    """Whitened estimator on the whitened matrix ``w``, with offset ``f``."""
     return _unformed(
-        cls,
+        _WhitenedEstimator,
         f=_finite("estimator offset", f),
         label=label,
         C_nn=model.C_nn,
@@ -294,9 +277,7 @@ def blue(model: LinearModel) -> AffineEstimator:
     """Minimum-variance unbiased affine estimator without constraints."""
     w, factor = model.whitened_gram(model.H)
     f = np.zeros(model.n_x, dtype=np.complex128)
-    est = _whitened_estimator(_WhitenedEstimator, model, w, f, "blue", _gram=factor)
-    est.E_w  # formed now, so that a non-finite map is refused at construction
-    return est
+    return _whitened_estimator(model, w, f, "blue", _t_adjoint=_t_adjoint(factor))
 
 
 def cls(model: LinearModel, constraints: ConstraintSet) -> AffineEstimator:
@@ -319,8 +300,7 @@ def cblue_direct(model: LinearModel, constraints: ConstraintSet) -> AffineEstima
     step = constraint_step(constraints.A, constraints.b, factor)
     # E_w = T T^H W^H is formed only when read; T^H takes over the buffer of the factor
     return _whitened_estimator(
-        _ConstrainedWhitenedEstimator, model, w, step.offset, "cblue_direct",
-        _t_adjoint=_constrained_inverse(step),
+        model, w, step.offset, "cblue_direct", _t_adjoint=_t_adjoint(factor, step)
     )
 
 
@@ -341,7 +321,7 @@ def cblue_nullspace(model: LinearModel, param: NullspaceParam) -> AffineEstimato
     w, factor = model.whitened_gram(h @ param.basis, REDUCED, RankDeficientReducedModel)
     xp = param.particular
     est = _whitened_estimator(
-        _WhitenedEstimator, model, w, xp, "cblue_nullspace", _gram=factor, _lift=param.basis
+        model, w, xp, "cblue_nullspace", _t_adjoint=_t_adjoint(factor), _lift=param.basis
     )
     with np.errstate(over="ignore", invalid="ignore"):
         # _factored reads no offset, so x_p stands in until f = x_p - E H x_p is
@@ -431,10 +411,11 @@ def analytic_cblue_covariance(model: LinearModel, constraints_or_param) -> Covar
     ``N (N^H P N)^-1 N^H`` or a :class:`ConstraintSet` for the full-rank form
     ``P^-1 - P^-1 A^H (A P^-1 A^H)^-1 A P^-1``; the two agree whenever both
     are defined.  Each is :func:`covariance` of its form's estimator against
-    ``model.C_nn``, so it is refused where that constructor is: ``V V^H`` for
-    ``V = N L_G^-H`` of :func:`cblue_nullspace` (``L_G L_G^H = N^H P N``), or for
-    ``V = T`` of :func:`cblue_direct`, ``T = R^-1 (I - Q Q^H)`` for ``P = R^H R``,
-    so that the full-rank form is ``T T^H`` and nothing cancels.
+    ``model.C_nn``, so it is refused where that constructor is: ``V V^H`` for the
+    variance rows ``V = lift T`` of the kept ``T^H``.  That is ``V = N L_G^-H`` of
+    :func:`cblue_nullspace` (``L_G L_G^H = N^H P N``), or ``V = T`` of
+    :func:`cblue_direct`, ``T = L_G^-H (I - Q Q^H)`` for ``L_G L_G^H = P``, so that
+    the full-rank form is ``T T^H`` and nothing cancels.
     """
     if isinstance(constraints_or_param, NullspaceParam):
         est = cblue_nullspace(model, constraints_or_param)

@@ -18,7 +18,9 @@ Five BLAS and LAPACK routines from scipy do the work:
 - ``ztrtrs`` solves against a factor, in :func:`half_solve`.
 - ``ztrtri`` inverts a factor, in :func:`inverse_factor`, at a third of the
   flops of solving against the identity.  It inverts a copy unless asked to
-  overwrite, which only a caller that made the factor and drops it may ask.
+  overwrite, which only a caller that made the factor and drops it may ask:
+  each whitened estimator does, turning its own Gram factor ``L_G`` into
+  ``L_G^-1``, the start of the one factor ``T^H`` it keeps.
 - ``zgemm`` adds ``-Q (Q^H m)`` into ``m`` itself when
   :meth:`ConstraintStep.complement` is asked to overwrite; otherwise the step
   writes into a new array and never into ``m``.

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before numpy loads, so the documented tier-1 command runs
+# as CI does: threaded OpenBLAS spins on these small matrices and stalls on a busy host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import dataclasses
 
 import pytest

@@ -83,6 +83,14 @@ def test_estimate_worked_example(colored_problem, capsys):
     assert residual <= 1e-12
 
 
+def test_readme_estimate_output_is_the_quick_start_problems(colored_problem, capsys):
+    # README prints `cblue estimate` on the quick-start problem; the block is its output, byte for byte
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"\n```\n(method = .*?)```", readme, re.S)
+    assert main(estimate_args(colored_problem)) == 0
+    assert capsys.readouterr().out == block
+
+
 def test_estimate_direct_and_nullspace_agree(colored_problem, capsys):
     assert main(estimate_args(colored_problem, "cblue-direct")) == 0
     direct = parse_x_hat(capsys.readouterr().out)

@@ -33,6 +33,7 @@ from cblue.numerics import (
     constraint_step,
     half_solve,
     hpd_factor,
+    hpd_solve,
     inverse_factor,
     least_norm_solution,
 )
@@ -523,12 +524,30 @@ def test_covariance_result_negative_diagonal_tolerance_boundary(relative, accept
             CovarianceResult(c)
 
 
+def _nullspace_e_from_kept_t_adjoint(model, param):
+    """E of the nullspace form, ``N T T^H W^H L^-1``, from ``T^H = L_G^-1`` as it keeps it."""
+    w, factor = model.whitened_gram(model.H @ param.basis)
+    t_adjoint = inverse_factor(factor)
+    reduced_w = ((t_adjoint @ w.conj().T).conj().T @ t_adjoint).conj().T
+    return param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
+
+
+def _assert_near_the_gram_route(e, model, param):
+    """E of the nullspace form within 1e-12 of ``N G^-1 W^H L^-1``, solved against ``L_G``."""
+    w, factor = model.whitened_gram(model.H @ param.basis)
+    reduced_w = hpd_solve(factor, w.conj().T)
+    gram_route = param.basis @ half_solve(
+        model.noise_factor, reduced_w.conj().T, adjoint=True
+    ).conj().T
+    assert np.linalg.norm(e - gram_route) <= 1e-12 * np.linalg.norm(gram_route)
+
+
 @pytest.mark.parametrize("overdetermined", [True, False])
 def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdetermined):
     # cblue, apply and the per-element variances, the pipeline of `cblue
     # estimate`, neither unwhiten E nor form the full error covariance
     import cblue.estimators as estimators
-    from cblue.numerics import half_solve, hermitized, hpd_solve
+    from cblue.numerics import half_solve, hermitized
 
     def refuse(*args, **kwargs):
         raise AssertionError("formed before it was read")
@@ -549,9 +568,8 @@ def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdet
         e = half_solve(model.noise_factor, est.E_w.conj().T, adjoint=True).conj().T
     else:
         assert est.label == "cblue_nullspace"
-        w, factor = model.whitened_gram(model.H @ param.basis)
-        reduced_w = hpd_solve(factor, w.conj().T)
-        e = param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
+        e = _nullspace_e_from_kept_t_adjoint(model, param)
+        _assert_near_the_gram_route(est.E, model, param)
     assert_array_equal(est.E, e)
     # C is V V^H from the variance rows, the closed form's own product
     closed_form = analytic_cblue_covariance(model, constraints if overdetermined else param)
@@ -568,13 +586,17 @@ def test_whitened_pipeline_defers_e_and_the_full_covariance(monkeypatch, overdet
     assert_allclose(covariance(flipped, model.C_nn).per_element_variance, variance, rtol=1e-12)
 
 
-@pytest.mark.parametrize("overdetermined", [True, False])
-def test_cblue_pipeline_forms_no_whitened_map(overdetermined):
+@pytest.mark.parametrize(
+    "method, overdetermined",
+    [("cblue", True), ("cblue", False), ("blue", True)],
+    ids=["True", "False", "blue"],
+)
+def test_cblue_pipeline_forms_no_whitened_map(method, overdetermined):
     # the estimate and its variances come from the kept factors alone
     rng = np.random.default_rng(61)
     model, constraints, _ = draw_instance(rng, overdetermined)
     y = rng.standard_normal(model.n_y) + 1j * rng.standard_normal(model.n_y)
-    est = cblue(model, constraints)
+    est = _METHODS[method](model, constraints)
     est.apply(y)
     covariance(est, model.C_nn).per_element_variance
     assert "E_w" not in est.__dict__ and "E" not in est.__dict__
@@ -640,12 +662,13 @@ def test_direct_form_builds_t_adjoint_in_its_own_gram_factor():
 
 
 def test_factors_a_caller_holds_stay_unchanged_and_read_only():
-    # only a Gram factor made inside the constructor is overwritten
+    # only a Gram factor made inside the constructor is overwritten, and the T^H
+    # each whitened form builds in it stays unchanged and read-only
     rng = np.random.default_rng(33)
     model, constraints, _ = draw_instance(rng)
     held = hpd_factor(model.C_nn)
     estimator = blue(model)
-    factors = (model.noise_factor.lower, held.lower, estimator._gram.lower)
+    factors = (model.noise_factor.lower, held.lower, estimator._t_adjoint)
     before = [lower.copy() for lower in factors]
     covariance(estimator, model.C_nn).C
     direct = cblue_direct(model, constraints)
@@ -692,14 +715,18 @@ def test_apply_to_an_empty_batch_returns_no_columns(method):
 
 
 def test_estimator_refuses_a_non_finite_whitened_map(monkeypatch):
-    # the deferred E is refused at construction, as the eager one was
+    # E_w is formed on its first read, by T (T^H W^H), and refused there like
+    # every other computed array
     import cblue.estimators as estimators
 
+    est = blue(COLORED_MODEL)
     monkeypatch.setattr(
-        estimators, "hpd_solve", lambda factor, rhs: np.full(np.shape(rhs), np.inf, complex)
+        estimators, "_adjoint_times", lambda m, v: np.full(np.shape(v), np.inf, complex)
     )
-    with pytest.raises(ValueError, match="non-finite"):
-        blue(COLORED_MODEL)
+    for read in ("E_w", "E"):
+        with pytest.raises(EstimationError, match="not finite in double precision"):
+            getattr(est, read)
+    assert "E_w" not in est.__dict__ and "E" not in est.__dict__
 
 
 def test_deferred_e_unwhitens_only_tall_matrices(monkeypatch):
@@ -778,7 +805,7 @@ def test_failed_deferred_read_can_be_retried(monkeypatch, overdetermined):
     # a read that raises keeps what it needs, so the next read forms the value
     # the constructors used to form eagerly
     import cblue.estimators as estimators
-    from cblue.numerics import half_solve, hermitized, hpd_solve
+    from cblue.numerics import half_solve, hermitized
 
     class Injected(Exception):
         pass
@@ -800,9 +827,8 @@ def test_failed_deferred_read_can_be_retried(monkeypatch, overdetermined):
     if overdetermined:
         e = half_solve(model.noise_factor, est.E_w.conj().T, adjoint=True).conj().T
     else:
-        w, factor = model.whitened_gram(model.H @ param.basis)
-        reduced_w = hpd_solve(factor, w.conj().T)
-        e = param.basis @ half_solve(model.noise_factor, reduced_w.conj().T, adjoint=True).conj().T
+        e = _nullspace_e_from_kept_t_adjoint(model, param)
+        _assert_near_the_gram_route(est.E, model, param)
     assert_array_equal(est.E, e)
     closed_form = analytic_cblue_covariance(model, constraints if overdetermined else param)
     assert_array_equal(result.C, closed_form.C)

@@ -101,6 +101,9 @@ MUTANTS = (
            "if not np.isfinite(m).all():", "if False:"),
     Mutant("cblue-falls-back-on-rank-only", "estimators.py",
            "except EstimationError:", "except RankDeficient:"),
+    Mutant("whitened-map-unchecked", "estimators.py",
+           'return _finite("whitened estimator matrix", e_w if self._lift is None else self._lift @ e_w)',
+           "return e_w if self._lift is None else self._lift @ e_w"),
 )
 
 
